@@ -13,7 +13,9 @@ use ngrams::{
 };
 
 /// Deserializing twin of [`ReverseLexComparator`] — what SUFFIX-σ's sort
-/// would cost without the §V raw-comparator optimization.
+/// would cost without the §V raw-comparator optimization. It keeps the
+/// trait's default `digest` (`None`): every sort and merge comparison goes
+/// through the decoding `compare`, which is the cost being measured.
 struct DecodedReverseLex;
 
 impl RawComparator for DecodedReverseLex {

@@ -2,7 +2,9 @@
 //! first-term partitioner and the reverse lexicographic raw comparator
 //! (paper §IV).
 
-use mapreduce::{write_vu32, ByteReader, Partitioner, RawComparator, Result, Writable};
+use mapreduce::{
+    next_two_terms, write_vu32, ByteReader, Partitioner, RawComparator, Result, Writable,
+};
 use std::cmp::Ordering;
 
 /// A sequence of term identifiers — an n-gram (or a truncated suffix).
@@ -126,44 +128,22 @@ impl RawComparator for ReverseLexComparator {
         }
     }
 
-    /// Digest of the first two terms, packed `[term1 | term2]` into 32-bit
-    /// halves. Term ids are `u32`, so one term fills a half exactly; two
-    /// encodings make the digest order-consistent with reverse
-    /// lexicographic order:
-    ///
-    /// * a *missing* position is encoded as `u32::MAX` — larger than any
-    ///   present term, because an extension sorts *before* its prefix
-    ///   (`r < s` when `s ⊴ r`), so "ended" must compare greater;
-    /// * a present term is capped at `u32::MAX - 1` so it can never
-    ///   collide with the missing-position sentinel. A cap loses
-    ///   information, so nothing *after* a capped position may
-    ///   discriminate: a key whose first term saturates takes the
-    ///   maximal first-slot digest outright (`[cap | ended]`), which
-    ///   degrades the `u32::MAX` term id to a digest tie, never to an
-    ///   inversion. A capped *second* term is already the last slot, so
-    ///   plain clamping suffices there.
-    ///
-    /// The empty gram (every key's prefix, sorts after everything) maps
-    /// to `u64::MAX`. Keys sharing their first two terms tie and fall
-    /// back to the full decoding comparison.
+    /// Two terms per level, packed `[term | term]` into 32-bit halves. A
+    /// position past the end of the key is encoded as `u32::MAX` — larger
+    /// than any term, because an extension sorts *before* its prefix
+    /// (`r < s` when `s ⊴ r`), so "ended" must compare greater; an
+    /// exhausted key (the empty gram at offset 0: every key's prefix,
+    /// sorting after everything) digests to `u64::MAX`. The one term id
+    /// that would collide with the sentinel, `u32::MAX` itself, exceeds
+    /// [`mapreduce::PACKED_TERM_MAX`] and takes the `None` fallback.
     #[inline]
-    fn sort_prefix(&self, key: &[u8]) -> u64 {
+    fn digest(&self, key: &[u8], from: usize) -> Option<(u64, usize)> {
         const ENDED: u64 = u32::MAX as u64;
-        const TERM_CAP: u64 = (u32::MAX - 1) as u64;
-        let mut r = ByteReader::new(key);
-        if r.is_empty() {
-            return u64::MAX;
-        }
-        let t1 = r.read_vu64().unwrap_or(0);
-        if t1 > TERM_CAP {
-            return (TERM_CAP << 32) | ENDED;
-        }
-        let t2 = if r.is_empty() {
-            ENDED
-        } else {
-            r.read_vu64().unwrap_or(0).min(TERM_CAP)
-        };
-        (t1 << 32) | t2
+        let ([first, second], next) = next_two_terms(key, from)?;
+        Some((
+            (first.unwrap_or(ENDED) << 32) | second.unwrap_or(ENDED),
+            next,
+        ))
     }
 }
 
@@ -254,9 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn sort_prefix_is_order_consistent_with_reverse_lex() {
-        // digest(a) < digest(b) must imply compare(a, b) == Less.
+    fn digest_honours_the_contract_under_reverse_lex() {
+        // Walk every pair level by level while digests tie: a digest
+        // difference must be the reverse-lex order, a tie must have
+        // consumed equal bytes, and ties down to both ends are equal keys.
         let raw = ReverseLexComparator;
+        let max = u32::MAX - 1; // PACKED_TERM_MAX: the largest packable id
         let samples = [
             g(&[]),
             g(&[0]),
@@ -266,62 +249,61 @@ mod tests {
             g(&[1, 2]),
             g(&[1, 2, 3]),
             g(&[1, 2, 3, 4]),
+            g(&[1, 2, 3, 4, 5]),
+            g(&[1, 2, 3, 5]),
             g(&[1, 3]),
+            g(&[7, 9, 1, 5]),
+            g(&[7, 9, 2]),
+            g(&[7, 9, max]),
             g(&[300]),
             g(&[300, 2]),
-            g(&[u32::MAX - 1]),
-            g(&[u32::MAX]),
-            g(&[u32::MAX, u32::MAX]),
+            g(&[max]),
+            g(&[max, max]),
         ];
         for x in &samples {
             for y in &samples {
-                let (bx, by) = (to_bytes(x), to_bytes(y));
-                if raw.sort_prefix(&bx) < raw.sort_prefix(&by) {
-                    assert_eq!(
-                        raw.compare(&bx, &by),
-                        Ordering::Less,
-                        "digest order contradicts compare for {x:?} vs {y:?}"
-                    );
+                let (a, b) = (to_bytes(x), to_bytes(y));
+                let (mut fa, mut fb) = (0, 0);
+                loop {
+                    let (da, na) = raw.digest(&a, fa).expect("packable terms");
+                    let (db, nb) = raw.digest(&b, fb).expect("packable terms");
+                    if da != db {
+                        assert_eq!(da.cmp(&db), reverse_lex(x, y), "{x:?} vs {y:?} at {fa}");
+                        break;
+                    }
+                    assert_eq!(a[fa..na], b[fb..nb], "tie on unequal bytes: {x:?} vs {y:?}");
+                    if na == a.len() && nb == b.len() {
+                        assert_eq!(x, y);
+                        break;
+                    }
+                    assert!(na > fa, "no progress on {x:?} at {fa}");
+                    (fa, fb) = (na, nb);
                 }
             }
         }
     }
 
     #[test]
-    fn sort_prefix_ties_resolve_through_full_compare() {
-        // Keys sharing their first two terms collide on the digest; the
-        // (digest, fallback-compare) pair must still reproduce reverse
-        // lexicographic order exactly — this pins the arena sort's
-        // two-stage comparison on digest-colliding keys.
+    fn digest_packs_two_terms_and_pins_its_sentinels() {
         let raw = ReverseLexComparator;
-        let colliding = [
-            g(&[7, 9]),
-            g(&[7, 9, 1]),
-            g(&[7, 9, 1, 5]),
-            g(&[7, 9, 2]),
-            g(&[7, 9, u32::MAX]),
-        ];
-        let digests: Vec<u64> = colliding
-            .iter()
-            .map(|x| raw.sort_prefix(&to_bytes(x)))
-            .collect();
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "first-two-term-equal keys must collide on the digest"
+        let ended = u64::from(u32::MAX);
+        // The empty gram (every key's prefix) digests above every key.
+        assert_eq!(raw.digest(&to_bytes(&g(&[])), 0), Some((u64::MAX, 0)));
+        assert_eq!(
+            raw.digest(&to_bytes(&g(&[5])), 0),
+            Some(((5 << 32) | ended, 1))
         );
-        let mut staged = colliding.to_vec();
-        staged.sort_by(|x, y| {
-            let (bx, by) = (to_bytes(x), to_bytes(y));
-            raw.sort_prefix(&bx)
-                .cmp(&raw.sort_prefix(&by))
-                .then_with(|| raw.compare(&bx, &by))
-        });
-        let mut expected = colliding.to_vec();
-        expected.sort_by(reverse_lex);
-        assert_eq!(staged, expected);
-        // And the empty gram digests above every non-empty key.
-        assert_eq!(raw.sort_prefix(&to_bytes(&g(&[]))), u64::MAX);
-        assert!(raw.sort_prefix(&to_bytes(&g(&[u32::MAX, u32::MAX]))) < u64::MAX);
+        let key = to_bytes(&g(&[7, 300, 9]));
+        assert_eq!(raw.digest(&key, 0), Some(((7 << 32) | 300, 3)));
+        assert_eq!(raw.digest(&key, 3), Some(((9 << 32) | ended, 4)));
+        assert_eq!(raw.digest(&key, 4), Some((u64::MAX, 4)));
+        // `u32::MAX` would collide with the sentinel: no digest, at either
+        // slot, and only at the level that meets it.
+        assert_eq!(raw.digest(&to_bytes(&g(&[u32::MAX])), 0), None);
+        assert_eq!(raw.digest(&to_bytes(&g(&[1, u32::MAX])), 0), None);
+        let deep = to_bytes(&g(&[1, 2, u32::MAX]));
+        assert!(raw.digest(&deep, 0).is_some());
+        assert_eq!(raw.digest(&deep, 2), None);
     }
 
     #[test]

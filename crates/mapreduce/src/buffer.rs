@@ -6,7 +6,7 @@
 //! array (no deserialization, no per-record allocation), optionally fed
 //! through a combiner at each spill, and written out as runs.
 
-use crate::comparator::RawComparator;
+use crate::comparator::{same_group, RawComparator};
 use crate::counters::{Counter, Counters};
 use crate::error::{MrError, Result};
 use crate::io::Writable;
@@ -17,17 +17,23 @@ use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Offsets of one record inside a [`RecordArena`], plus the cached
-/// order-consistent key digest ([`RawComparator::sort_prefix`]) filled in
-/// at sort time.
+/// Offsets of one record inside a [`RecordArena`], plus the sort state
+/// [`RecordArena::sort`] keeps per record: the cached
+/// [`RawComparator::digest`] of the current refinement level and the key
+/// offset the next level resumes at.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RecMeta {
     pub key_start: u32,
     pub key_end: u32,
     pub val_end: u32,
-    /// `sort_prefix` digest of the key; `0` until [`RecordArena::sort`].
-    pub prefix: u64,
+    /// Key bytes already digested; `0` until [`RecordArena::sort`].
+    cursor: u32,
+    /// Digest of the key bytes ending at `cursor`.
+    prefix: u64,
 }
+
+/// Largest `data.len()` the `u32` offsets of [`RecMeta`] can address.
+const ARENA_LIMIT: usize = u32::MAX as usize;
 
 /// Contiguous byte arena holding serialized records plus an offset array.
 #[derive(Default)]
@@ -37,21 +43,33 @@ pub(crate) struct RecordArena {
 }
 
 impl RecordArena {
-    /// Serialize one record into the arena; returns (key_len, val_len).
-    fn append<K: Writable, V: Writable>(&mut self, k: &K, v: &V) -> (usize, usize) {
+    /// Serialize one record into the arena; returns (key_len, val_len), or
+    /// `None` — arena unchanged — when the record would end past `limit`
+    /// bytes ([`ARENA_LIMIT`] outside tests: the `u32` offsets must not
+    /// wrap).
+    fn append<K: Writable, V: Writable>(
+        &mut self,
+        k: &K,
+        v: &V,
+        limit: usize,
+    ) -> Option<(usize, usize)> {
         let key_start = self.data.len();
         k.write_to(&mut self.data);
         let key_end = self.data.len();
         v.write_to(&mut self.data);
         let val_end = self.data.len();
-        debug_assert!(val_end <= u32::MAX as usize, "arena exceeds 4 GiB");
+        if val_end > limit {
+            self.data.truncate(key_start);
+            return None;
+        }
         self.meta.push(RecMeta {
             key_start: key_start as u32,
             key_end: key_end as u32,
             val_end: val_end as u32,
+            cursor: 0,
             prefix: 0,
         });
-        (key_end - key_start, val_end - key_end)
+        Some((key_end - key_start, val_end - key_end))
     }
 
     #[inline]
@@ -64,33 +82,58 @@ impl RecordArena {
         &self.data[m.key_end as usize..m.val_end as usize]
     }
 
-    /// Sort the offset array by key. With `prefix_sort`, each record's
-    /// [`RawComparator::sort_prefix`] digest is computed once and cached in
-    /// its [`RecMeta`], and comparisons resolve on an inline `u64` compare,
-    /// falling through to the dyn-dispatch decoding comparator only on
-    /// digest ties; without it, every comparison goes through the
-    /// comparator (the pre-digest behavior, kept as the bench baseline).
+    /// Sort the offset array by key. Without `prefix_sort` every comparison
+    /// goes through the comparator — the reference order. With it the sort
+    /// is a multikey refinement over [`RawComparator::digest`]: digest
+    /// every key of a group from its cursor, sort the group on the cached
+    /// `u64`s, and do the same to each run of equal digests, until a group
+    /// has no key bytes left (equal keys) or holds a key the comparator has
+    /// no digest for (that group goes to the comparator). Keys are decoded
+    /// once per level up to where they first differ, instead of once per
+    /// comparison over their whole common prefix.
     fn sort(&mut self, cmp: &dyn RawComparator, prefix_sort: bool) {
         let data = &self.data;
-        if prefix_sort {
-            for m in &mut self.meta {
-                m.prefix = cmp.sort_prefix(&data[m.key_start as usize..m.key_end as usize]);
+        let key = |m: &RecMeta| &data[m.key_start as usize..m.key_end as usize];
+        let by_compare = |a: &RecMeta, b: &RecMeta| cmp.compare(key(a), key(b));
+        if !prefix_sort {
+            self.meta.sort_unstable_by(by_compare);
+            return;
+        }
+        // Ranges of `meta` whose keys tie on every digest taken so far. An
+        // explicit stack: keys sharing a long prefix refine level by level
+        // without the call depth growing with the key length.
+        let mut groups = vec![(0, self.meta.len())];
+        while let Some((lo, hi)) = groups.pop() {
+            let group = &mut self.meta[lo..hi];
+            let mut advanced = false;
+            let digested = group.iter_mut().all(|m| {
+                let from = m.cursor as usize;
+                let Some((digest, next)) = cmp.digest(key(m), from) else {
+                    return false;
+                };
+                debug_assert!(from <= next && next <= key(m).len());
+                advanced |= next > from;
+                m.prefix = digest;
+                m.cursor = next as u32;
+                true
+            });
+            if !digested {
+                group.sort_unstable_by(by_compare);
+                continue;
             }
-            self.meta.sort_unstable_by(|a, b| {
-                a.prefix.cmp(&b.prefix).then_with(|| {
-                    cmp.compare(
-                        &data[a.key_start as usize..a.key_end as usize],
-                        &data[b.key_start as usize..b.key_end as usize],
-                    )
-                })
-            });
-        } else {
-            self.meta.sort_unstable_by(|a, b| {
-                cmp.compare(
-                    &data[a.key_start as usize..a.key_end as usize],
-                    &data[b.key_start as usize..b.key_end as usize],
-                )
-            });
+            if !advanced {
+                continue; // every key consumed to its end: equal keys
+            }
+            group.sort_unstable_by_key(|m| m.prefix);
+            let mut i = 0;
+            while i < group.len() {
+                let tie = group[i].prefix;
+                let len = group[i..].iter().take_while(|m| m.prefix == tie).count();
+                if len > 1 {
+                    groups.push((lo + i, lo + i + len));
+                }
+                i += len;
+            }
         }
     }
 
@@ -101,10 +144,6 @@ impl RecordArena {
 
     fn is_empty(&self) -> bool {
         self.meta.is_empty()
-    }
-
-    fn bytes(&self) -> usize {
-        self.data.len() + self.meta.len() * std::mem::size_of::<RecMeta>()
     }
 }
 
@@ -119,8 +158,8 @@ pub(crate) struct CollectorConfig {
     pub spill_to_disk: bool,
     /// Codec spill runs are encoded with.
     pub run_codec: RunCodec,
-    /// Cache `sort_prefix` digests and compare them inline before falling
-    /// back to the raw comparator.
+    /// Sort arenas by digest refinement and cache head digests in the
+    /// merge ([`RawComparator::digest`]); off: the comparator alone.
     pub prefix_sort: bool,
     /// Hand full sort buffers to a dedicated spill-writer thread so the
     /// sort + encode + write runs off the mapper thread, double-buffering
@@ -152,6 +191,13 @@ where
     V: Writable + Send + 'static,
 {
     arenas: Vec<RecordArena>,
+    /// Bytes buffered across all arenas (record bytes plus one [`RecMeta`]
+    /// each): advanced by `emit`, reset when the arenas are spilled or
+    /// dispatched, so the spill check does not sum R arenas per record.
+    buffered_bytes: usize,
+    /// [`ARENA_LIMIT`]; a field so tests can reach the forced spill without
+    /// buffering 4 GiB.
+    arena_limit: usize,
     runs: Vec<Vec<Run>>,
     config: CollectorConfig,
     temp: Option<Arc<TempDir>>,
@@ -179,6 +225,8 @@ where
             arenas: (0..num_partitions)
                 .map(|_| RecordArena::default())
                 .collect(),
+            buffered_bytes: 0,
+            arena_limit: ARENA_LIMIT,
             runs: (0..num_partitions).map(|_| Vec::new()).collect(),
             config,
             temp,
@@ -191,28 +239,47 @@ where
 
     /// Serialize and collect one record for `partition`.
     pub(crate) fn emit(&mut self, partition: usize, k: &K, v: &V) -> Result<()> {
-        let (klen, vlen) = self.arenas[partition].append(k, v);
+        let (klen, vlen) = match self.arenas[partition].append(k, v, self.arena_limit) {
+            Some(lens) => lens,
+            None => {
+                // The arena's `u32` offsets are about to run out (a sort
+                // buffer of 4 GiB or more): spill early, then retry once.
+                self.spill_buffers()?;
+                self.arenas[partition]
+                    .append(k, v, self.arena_limit)
+                    .ok_or_else(|| {
+                        MrError::Config(format!(
+                            "a single map output record exceeds the {} byte arena limit",
+                            self.arena_limit
+                        ))
+                    })?
+            }
+        };
         self.counters.inc(Counter::MapOutputRecords);
         self.counters
             .add(Counter::MapOutputBytes, (klen + vlen) as u64);
-        if self.buffered_bytes() > self.config.sort_buffer_bytes {
-            if self.config.pipelined {
-                self.dispatch_spill()?;
-            } else {
-                self.spill()?;
-            }
+        self.buffered_bytes += klen + vlen + std::mem::size_of::<RecMeta>();
+        if self.buffered_bytes > self.config.sort_buffer_bytes {
+            self.spill_buffers()?;
         }
         Ok(())
     }
 
-    fn buffered_bytes(&self) -> usize {
-        self.arenas.iter().map(RecordArena::bytes).sum()
+    /// Empty the sort buffer mid-map, on the spill-writer thread when
+    /// pipelined.
+    fn spill_buffers(&mut self) -> Result<()> {
+        if self.config.pipelined {
+            self.dispatch_spill()
+        } else {
+            self.spill()
+        }
     }
 
     /// Sort, combine and write out every non-empty arena as one run each
     /// (the synchronous path: everything on the mapper thread).
     fn spill(&mut self) -> Result<()> {
         self.counters.inc(Counter::Spills);
+        self.buffered_bytes = 0;
         for p in 0..self.arenas.len() {
             if self.arenas[p].is_empty() {
                 continue;
@@ -264,6 +331,7 @@ where
             .filter(|(_, a)| !a.is_empty())
             .map(|(p, a)| (p, std::mem::take(a)))
             .collect();
+        self.buffered_bytes = 0;
         if batch.is_empty() {
             return Ok(());
         }
@@ -485,7 +553,7 @@ fn combine_into<K: Writable + Send, V: Writable + Send>(
     while i < metas.len() {
         let group_key = arena.key(&metas[i]);
         let mut j = i + 1;
-        while j < metas.len() && cmp.compare(arena.key(&metas[j]), group_key).is_eq() {
+        while j < metas.len() && same_group(cmp, arena.key(&metas[j]), group_key) {
             j += 1;
         }
         let key = K::read_from(&mut crate::io::ByteReader::new(group_key))?;
@@ -502,4 +570,220 @@ fn combine_into<K: Writable + Send, V: Writable + Send>(
         return Err(e);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::comparator::{BytewiseComparator, VarintSeqComparator};
+    use crate::io::{vu64_seq as seq, write_vu64, ByteReader};
+
+    /// A key that is its bytes, with no framing of its own.
+    struct RawKey(Vec<u8>);
+
+    impl Writable for RawKey {
+        fn write_to(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+        fn read_from(r: &mut ByteReader<'_>) -> Result<Self> {
+            Ok(RawKey(r.read_bytes(r.remaining())?.to_vec()))
+        }
+    }
+
+    fn arena_of(keys: &[Vec<u8>]) -> RecordArena {
+        let mut arena = RecordArena::default();
+        for (i, k) in keys.iter().enumerate() {
+            arena
+                .append(&RawKey(k.clone()), &(i as u64), ARENA_LIMIT)
+                .expect("fits");
+        }
+        arena
+    }
+
+    fn sorted_keys(keys: &[Vec<u8>], cmp: &dyn RawComparator, prefix_sort: bool) -> Vec<Vec<u8>> {
+        let mut arena = arena_of(keys);
+        arena.sort(cmp, prefix_sort);
+        arena.meta.iter().map(|m| arena.key(m).to_vec()).collect()
+    }
+
+    #[test]
+    fn rec_meta_stays_24_bytes() {
+        // The refinement cursor lives in what used to be padding.
+        assert_eq!(std::mem::size_of::<RecMeta>(), 24);
+    }
+
+    #[test]
+    fn refinement_sort_equals_comparator_sort() {
+        // Shared prefixes of several lengths, heavy duplicates, the empty
+        // key.
+        let mut keys = vec![seq(&[])];
+        for i in 0..40u64 {
+            let mut k: Vec<u64> = (0..i % 7 * 5).map(|t| t % 3).collect();
+            k.push(i % 4);
+            keys.push(seq(&k));
+            keys.push(seq(&k)); // duplicate
+            k.push(300 + i);
+            keys.push(seq(&k));
+        }
+        let cmp = VarintSeqComparator;
+        let got = sorted_keys(&keys, &cmp, true);
+        let mut expected = keys.clone();
+        expected.sort_by(|a, b| cmp.compare(a, b));
+        assert_eq!(got, expected);
+        assert_eq!(sorted_keys(&keys, &cmp, false), expected);
+    }
+
+    #[test]
+    fn a_key_without_a_digest_sends_its_group_to_the_comparator() {
+        // 20 keys share ⟨1 2 3 4⟩; one of them continues with an element
+        // no digest slot can hold, two levels down.
+        let mut keys: Vec<Vec<u8>> = (0..19u64).map(|i| seq(&[1, 2, 3, 4, 19 - i, i])).collect();
+        keys.push(seq(&[1, 2, 3, 4, u64::MAX, 0]));
+        keys.extend((0..12u64).map(|i| seq(&[1, 2, 12 - i])));
+        let cmp = VarintSeqComparator;
+        assert!(cmp.digest(&keys[19], 4).is_none());
+        let mut expected = keys.clone();
+        expected.sort_by(|a, b| cmp.compare(a, b));
+        assert_eq!(sorted_keys(&keys, &cmp, true), expected);
+    }
+
+    #[test]
+    fn bytewise_zero_padding_across_a_digest_boundary() {
+        let mut keys = Vec::new();
+        for stem in [&b"ab"[..], b"abcdefg", b"abcdefgh"] {
+            for zeros in 0..18 {
+                let mut k = stem.to_vec();
+                k.resize(stem.len() + zeros, 0);
+                keys.push(k);
+            }
+        }
+        keys.reverse();
+        let mut expected = keys.clone();
+        expected.sort();
+        assert_eq!(sorted_keys(&keys, &BytewiseComparator, true), expected);
+    }
+
+    #[test]
+    fn deep_shared_prefix_sorts_on_a_small_stack() {
+        // 5 000 keys sharing a 20 000-term prefix: 10 000 refinement
+        // levels. A sort that recursed per level would overflow this
+        // thread's 256 KiB stack; the work stack lives on the heap.
+        let sorter = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| {
+                const PREFIX: usize = 20_000;
+                let mut key = vec![1u8; PREFIX]; // one-byte varints
+                let mut arena = RecordArena::default();
+                for i in 0..5_000u64 {
+                    key.truncate(PREFIX);
+                    write_vu64(&mut key, (i * 7919) % 1_000); // 5 duplicates each
+                    arena
+                        .append(&RawKey(key.clone()), &i, ARENA_LIMIT)
+                        .expect("fits");
+                }
+                let cmp = VarintSeqComparator;
+                arena.sort(&cmp, true);
+                let tails: Vec<&[u8]> =
+                    arena.meta.iter().map(|m| &arena.key(m)[PREFIX..]).collect();
+                assert!(tails.windows(2).all(|w| cmp.compare(w[0], w[1]).is_le()));
+                tails.len()
+            })
+            .expect("spawn");
+        assert_eq!(
+            sorter.join().expect("sort must not overflow the stack"),
+            5_000
+        );
+    }
+
+    #[test]
+    fn append_stops_at_the_offset_limit() {
+        let mut arena = RecordArena::default();
+        let key = RawKey(vec![7; 10]);
+        // 10 key bytes + 1 value byte: the record ends at offset 11.
+        assert_eq!(arena.append(&key, &1u64, 10), None);
+        assert!(
+            arena.data.is_empty() && arena.meta.is_empty(),
+            "left untouched"
+        );
+        assert_eq!(arena.append(&key, &1u64, 11), Some((10, 1)));
+        assert_eq!(arena.append(&key, &1u64, 21), None);
+        assert_eq!((arena.data.len(), arena.meta.len()), (11, 1));
+        // The production limit is the last offset a `u32` holds, exactly.
+        assert_eq!(ARENA_LIMIT as u64, u64::from(u32::MAX));
+        assert_eq!(ARENA_LIMIT as u32 as usize, ARENA_LIMIT);
+    }
+
+    fn collector(
+        partitions: usize,
+        sort_buffer_bytes: usize,
+        counters: &Arc<Counters>,
+    ) -> MapOutputCollector<u32, u64> {
+        MapOutputCollector::new(
+            partitions,
+            CollectorConfig {
+                sort_buffer_bytes,
+                spill_to_disk: false,
+                run_codec: RunCodec::Plain,
+                prefix_sort: true,
+                pipelined: false,
+                fault: None,
+            },
+            None,
+            Arc::new(VarintSeqComparator),
+            None,
+            Arc::clone(counters),
+        )
+    }
+
+    fn run_records(runs: &[Vec<Run>]) -> u64 {
+        runs.iter().flatten().map(|r| r.records).sum()
+    }
+
+    #[test]
+    fn arena_limit_forces_a_spill_instead_of_wrapping_offsets() {
+        let counters = Arc::new(Counters::new());
+        let mut c = collector(2, usize::MAX, &counters);
+        c.arena_limit = 64; // stands in for u32::MAX
+        for i in 0..200u32 {
+            c.emit((i % 2) as usize, &i, &u64::from(i)).unwrap();
+            assert!(c.arenas.iter().all(|a| a.data.len() <= 64));
+        }
+        assert!(
+            counters.get(Counter::Spills) > 1,
+            "budget alone never spills"
+        );
+        assert_eq!(run_records(&c.finish().unwrap()), 200);
+
+        // A record no empty arena can hold is an error, not a wrap.
+        let mut c = collector(1, usize::MAX, &counters);
+        c.arena_limit = 1;
+        assert!(matches!(c.emit(0, &300, &0), Err(MrError::Config(_))));
+    }
+
+    #[test]
+    fn running_byte_total_tracks_the_arenas() {
+        let counters = Arc::new(Counters::new());
+        let budget = 1_000;
+        let mut c = collector(5, budget, &counters);
+        let (mut simulated, mut spills) = (0usize, 0u64);
+        for i in 0..2_000u32 {
+            c.emit((i % 5) as usize, &(i * 40_503), &u64::from(i))
+                .unwrap();
+            simulated += crate::io::to_bytes(&(i * 40_503)).len()
+                + crate::io::to_bytes(&u64::from(i)).len()
+                + std::mem::size_of::<RecMeta>();
+            if simulated > budget {
+                (simulated, spills) = (0, spills + 1);
+            }
+            let summed: usize = c
+                .arenas
+                .iter()
+                .map(|a| a.data.len() + a.meta.len() * std::mem::size_of::<RecMeta>())
+                .sum();
+            assert_eq!(c.buffered_bytes, summed);
+            assert_eq!(summed, simulated);
+        }
+        assert_eq!(counters.get(Counter::Spills), spills);
+        assert_eq!(run_records(&c.finish().unwrap()), 2_000);
+    }
 }

@@ -73,7 +73,7 @@ pub enum Counter {
     /// while this one is defined as the denominator's encoded twin.
     EncodedRunBytes,
     /// Nanoseconds spent sorting map-side record arenas (the in-memory
-    /// sort the raw comparator and its `sort_prefix` digest accelerate).
+    /// sort the raw comparator and its resumable key digest accelerate).
     MapSortNanos,
     /// Nanoseconds reduce tasks spent *blocked* waiting on run read-ahead
     /// decoders (`JobConfig::pipelined`): merge heads whose next decoded

@@ -26,6 +26,14 @@ pub fn write_vu64(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// The varints of `xs`, concatenated: a serialized varint-sequence key.
+#[cfg(test)]
+pub(crate) fn vu64_seq(xs: &[u64]) -> Vec<u8> {
+    let mut out = Vec::new();
+    xs.iter().for_each(|&x| write_vu64(&mut out, x));
+    out
+}
+
 /// Append a `u32` using the same varint coding.
 #[inline]
 pub fn write_vu32(out: &mut Vec<u8>, v: u32) {

@@ -65,10 +65,10 @@ pub struct JobConfig {
     /// byte-identical to the historical format; [`RunCodec::FrontCoded`]
     /// delta-codes sorted keys).
     pub run_codec: RunCodec,
-    /// Cache an order-consistent `sort_prefix` digest per record and
-    /// resolve map-side sort comparisons on it before falling back to the
-    /// raw comparator. On by default; disable only to measure the
-    /// unaccelerated baseline.
+    /// Sort map-side arenas by refining [`RawComparator::digest`] ties
+    /// level by level, and cache head digests in the reduce-side merge.
+    /// On by default; off is the comparator-only engine — the reference
+    /// the tests compare against and the bench's unaccelerated baseline.
     pub prefix_sort: bool,
     /// Overlap I/O with compute across the dataflow: map tasks hand full
     /// sort buffers to a dedicated spill-writer thread (double-buffering

@@ -94,7 +94,10 @@ mod values;
 
 pub use checkpoint::CheckpointSpec;
 pub use cluster::{Cluster, DistCache, JobLogEntry};
-pub use comparator::{BytewiseComparator, RawComparator, TypedComparator, VarintSeqComparator};
+pub use comparator::{
+    next_two_terms, BytewiseComparator, RawComparator, TypedComparator, VarintSeqComparator,
+    PACKED_TERM_MAX,
+};
 pub use counters::{Counter, CounterSnapshot, Counters};
 pub use crc::{crc32, Crc32};
 pub use error::{MrError, Result};

@@ -2,9 +2,9 @@
 //!
 //! A hand-rolled binary heap of run indices keyed through the job's
 //! [`RawComparator`]; `std::collections::BinaryHeap` cannot take an external
-//! comparator, and a loser tree would be overkill for the fan-ins here.
+//! comparator.
 
-use crate::comparator::RawComparator;
+use crate::comparator::{same_group, RawComparator};
 use crate::error::Result;
 use crate::run::{Run, RunReader};
 use std::cmp::Ordering;
@@ -13,9 +13,9 @@ use std::sync::Arc;
 struct Head {
     key: Vec<u8>,
     val: Vec<u8>,
-    /// Cached [`RawComparator::sort_prefix`] digest of `key`: heap
-    /// comparisons resolve on a `u64` compare and only fall back to the
-    /// dyn comparator on digest ties.
+    /// Cached [`RawComparator::digest`] of `key` at offset 0: heap
+    /// comparisons resolve on a `u64` compare and only look at the keys on
+    /// digest ties.
     prefix: u64,
 }
 
@@ -26,9 +26,10 @@ pub struct MergeStream {
     /// Heap of indices into `sources`, min-ordered by `heads[i].key`.
     heap: Vec<usize>,
     cmp: Arc<dyn RawComparator>,
-    /// Cache `sort_prefix` digests in the heads; when off, every head
-    /// digest is `0` and comparisons always fall through to `cmp` (the
-    /// unaccelerated engine, kept as the bench ablation baseline).
+    /// Cache key digests in the heads; when off — by configuration (the
+    /// comparator-only reference engine) or from the first key the
+    /// comparator has no digest for — every head digest is `0` and
+    /// comparisons always reach the keys.
     prefix_sort: bool,
     /// Measure the wall time spent inside [`MergeStream::next_record`]
     /// (job tracing); off by default so the per-record hot path pays only
@@ -79,9 +80,6 @@ impl MergeStream {
                 prefix: 0,
             };
             if reader.next_into(&mut head.key, &mut head.val)? {
-                if prefix_sort {
-                    head.prefix = cmp.sort_prefix(&head.key);
-                }
                 let idx = sources.len();
                 sources.push(reader);
                 heads.push(head);
@@ -97,6 +95,9 @@ impl MergeStream {
             timed: false,
             merge_nanos: 0,
         };
+        for i in 0..s.heads.len() {
+            s.digest_head(i);
+        }
         // Heapify.
         if !s.heap.is_empty() {
             for i in (0..s.heap.len() / 2).rev() {
@@ -106,13 +107,32 @@ impl MergeStream {
         Ok(s)
     }
 
+    /// Cache the digest of head `i`. A key without one switches digests
+    /// off for the rest of the merge: a digest order implies the
+    /// comparator's, so a heap built on digests stays a heap without them.
+    #[inline]
+    fn digest_head(&mut self, i: usize) {
+        if !self.prefix_sort {
+            return;
+        }
+        match self.cmp.digest(&self.heads[i].key, 0) {
+            Some((digest, _)) => self.heads[i].prefix = digest,
+            None => {
+                self.prefix_sort = false;
+                self.heads.iter_mut().for_each(|h| h.prefix = 0);
+            }
+        }
+    }
+
+    /// Equal keys are the common digest tie (one gram arriving from many
+    /// runs): byte equality settles those without decoding either key.
     #[inline]
     fn less(&self, a: usize, b: usize) -> bool {
         let (ha, hb) = (&self.heads[a], &self.heads[b]);
-        ha.prefix
-            .cmp(&hb.prefix)
-            .then_with(|| self.cmp.compare(&ha.key, &hb.key))
-            .is_lt()
+        match ha.prefix.cmp(&hb.prefix) {
+            Ordering::Equal => ha.key != hb.key && self.cmp.compare(&ha.key, &hb.key).is_lt(),
+            order => order.is_lt(),
+        }
     }
 
     fn sift_down(&mut self, mut i: usize) {
@@ -179,9 +199,7 @@ impl MergeStream {
         // Advance the source that supplied the record.
         let head = &mut self.heads[top];
         if self.sources[top].next_into(&mut head.key, &mut head.val)? {
-            if self.prefix_sort {
-                head.prefix = self.cmp.sort_prefix(&head.key);
-            }
+            self.digest_head(top);
             self.sift_down(0);
         } else {
             let last = self.heap.len() - 1;
@@ -192,10 +210,12 @@ impl MergeStream {
         Ok(true)
     }
 
-    /// Compare two serialized keys under the merge order.
+    /// True when the next record's key belongs to the reduce group of
+    /// `group_key`.
     #[inline]
-    pub fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
-        self.cmp.compare(a, b)
+    pub(crate) fn next_in_group(&self, group_key: &[u8]) -> bool {
+        self.peek_key()
+            .is_some_and(|k| same_group(self.cmp.as_ref(), k, group_key))
     }
 
     /// Total nanoseconds the merge spent blocked waiting on read-ahead
@@ -253,6 +273,41 @@ mod tests {
         let runs = vec![make_run(&[]), make_run(&["only"])];
         let mut s = MergeStream::new(&runs, Arc::new(BytewiseComparator)).unwrap();
         assert_eq!(drain(&mut s), vec!["only"]);
+    }
+
+    #[test]
+    fn a_head_without_a_digest_turns_digests_off_mid_merge() {
+        use crate::comparator::VarintSeqComparator;
+        use crate::io::vu64_seq as seq;
+        // The second run's last key holds an element no digest slot fits;
+        // it becomes a head only after digests have ordered earlier pops.
+        let runs_keys = [
+            vec![seq(&[1]), seq(&[5, 2]), seq(&[9])],
+            vec![seq(&[2]), seq(&[5, u64::MAX])],
+            vec![seq(&[3]), seq(&[5, 2]), seq(&[5, 7]), seq(&[6])],
+        ];
+        let runs: Vec<Run> = runs_keys
+            .iter()
+            .map(|keys| {
+                let mut w = RunWriter::mem();
+                keys.iter().for_each(|k| w.write_record(k, b"v").unwrap());
+                w.finish().unwrap()
+            })
+            .collect();
+        let cmp = Arc::new(VarintSeqComparator);
+        let mut s = MergeStream::new(&runs, cmp.clone()).unwrap();
+        let (mut k, mut v) = (Vec::new(), Vec::new());
+        let mut merged = Vec::new();
+        while s.next_record(&mut k, &mut v).unwrap() {
+            merged.push(k.clone());
+        }
+        let mut expected: Vec<Vec<u8>> = runs_keys.concat();
+        expected.sort_by(|a, b| cmp.compare(a, b));
+        assert_eq!(merged, expected);
+        assert!(
+            !s.prefix_sort,
+            "the wide key must have switched digests off"
+        );
     }
 
     #[test]

@@ -131,12 +131,9 @@ impl<V: Writable> Iterator for ValueIter<'_, V> {
                     return None;
                 }
                 // Only records whose key equals the group key belong here.
-                match stream.peek_key() {
-                    Some(k) if stream.compare(k, group_key).is_eq() => {}
-                    _ => {
-                        *done = true;
-                        return None;
-                    }
+                if !stream.next_in_group(group_key) {
+                    *done = true;
+                    return None;
                 }
                 match stream.next_record(key_buf, val_buf) {
                     Ok(true) => decode::<V>(val_buf, consumed, error),
