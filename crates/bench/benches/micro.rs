@@ -1,14 +1,17 @@
 //! Criterion micro-benchmarks for the load-bearing primitives: the
 //! varbyte codec, the raw vs deserializing comparator (§V), shuffle
-//! sorting, the suffix-stack reducer path, posting-list joins, the LRU
-//! cache, the kvstore, and Zipf sampling.
+//! sorting, the reduce-side k-way merge, the suffix-stack reducer path,
+//! posting-list joins, the LRU cache, the kvstore, and Zipf sampling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
-use mapreduce::{from_bytes, to_bytes, RawComparator, Writable};
+use mapreduce::{
+    from_bytes, to_bytes, MergeStream, RawComparator, Run, RunCodec, RunWriter, Writable,
+};
 use ngrams::{reverse_lex, Gram, Posting, PostingList, ReverseLexComparator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 fn random_grams(n: usize, max_len: usize, vocab: u32, seed: u64) -> Vec<Gram> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -99,6 +102,58 @@ fn bench_shuffle_sort(c: &mut Criterion) {
             BatchSize::LargeInput,
         );
     });
+    group.finish();
+}
+
+fn bench_merge(c: &mut Criterion) {
+    // What a SUFFIX-σ reduce task merges: suffixes of up to five terms
+    // that all begin with the partition's few first terms, so every head
+    // of the merge sits at the same two-term frontier and one digest word
+    // ties. Dealt into `fan_in` sorted runs, many keys recurring across
+    // runs.
+    const RECORDS: usize = 60_000;
+    let mut rng = StdRng::seed_from_u64(8);
+    let keys: Vec<Vec<u8>> = (0..RECORDS)
+        .map(|_| {
+            let len = rng.random_range(1..=5usize);
+            let mut terms = vec![rng.random_range(0..4u32), rng.random_range(0..16u32)];
+            terms.extend((2..len).map(|_| rng.random_range(0..300u32)));
+            terms.truncate(len);
+            to_bytes(&Gram(terms))
+        })
+        .collect();
+    let cmp = ReverseLexComparator;
+    let mut group = c.benchmark_group("merge");
+    group.throughput(Throughput::Elements(RECORDS as u64));
+    for fan_in in [8usize, 64, 512] {
+        for codec in [RunCodec::Plain, RunCodec::FrontCoded] {
+            let mut dealt: Vec<Vec<&[u8]>> = vec![Vec::new(); fan_in];
+            for key in &keys {
+                dealt[rng.random_range(0..fan_in)].push(key);
+            }
+            let runs: Vec<Run> = dealt
+                .iter_mut()
+                .map(|run| {
+                    run.sort_by(|a, b| cmp.compare(a, b));
+                    let mut w = RunWriter::mem_codec(codec);
+                    run.iter().for_each(|k| w.write_record(k, &[1]).unwrap());
+                    w.finish().unwrap()
+                })
+                .collect();
+            group.bench_function(&format!("fan_in_{fan_in}_{}", codec.name()), |b| {
+                b.iter(|| {
+                    let mut stream =
+                        MergeStream::new(&runs, Arc::new(ReverseLexComparator)).unwrap();
+                    let mut bytes = 0usize;
+                    while let Some((key, val)) = stream.peek() {
+                        bytes += key.len() + val.len();
+                        stream.pop().unwrap();
+                    }
+                    black_box(bytes)
+                });
+            });
+        }
+    }
     group.finish();
 }
 
@@ -241,6 +296,7 @@ criterion_group!(
     bench_varbyte,
     bench_comparators,
     bench_shuffle_sort,
+    bench_merge,
     bench_posting_join,
     bench_lru,
     bench_kvstore,

@@ -62,10 +62,12 @@ impl Writable for Gram {
     }
 
     fn read_from(r: &mut ByteReader<'_>) -> Result<Self> {
-        // Start empty and let pushes grow the vector: `r.remaining()` counts
-        // *bytes*, not terms, so reserving it would over-allocate up to 5×
-        // on every decoded gram in the shuffle hot path.
-        let mut terms = Vec::new();
+        // One allocation per decoded gram in the shuffle hot path instead
+        // of a grow at the first and again at the fifth term:
+        // `r.remaining()` counts *bytes*, an upper bound on the terms, and
+        // the cap keeps a long key of wide varints from over-reserving
+        // (grams beyond eight terms grow by pushes as before).
+        let mut terms = Vec::with_capacity(r.remaining().min(8));
         while !r.is_empty() {
             terms.push(r.read_vu32()?);
         }

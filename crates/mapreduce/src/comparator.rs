@@ -24,7 +24,8 @@ pub trait RawComparator: Send + Sync {
     /// only tie groups from where the last digest stopped, so sort work
     /// follows the distinguishing prefix of the keys instead of paying a
     /// decoding [`RawComparator::compare`] over the shared prefix on every
-    /// tie; the merge digests its heads once, at offset 0.
+    /// tie; the merge caches the first two levels of each head
+    /// ([`RawComparator::digest_words`]).
     ///
     /// `from` is `0` or an offset an earlier call on the same key returned.
     /// For two keys `a`, `b` whose digests were equal at every earlier
@@ -48,6 +49,19 @@ pub trait RawComparator: Send + Sync {
     fn digest(&self, key: &[u8], from: usize) -> Option<(u64, usize)> {
         let _ = (key, from);
         None
+    }
+
+    /// The first two levels of [`RawComparator::digest`] in one call: the
+    /// digest at offset 0 and the digest resumed where that one stopped.
+    /// Equal first words mean equal consumed bytes, so two keys' word
+    /// pairs compare lexicographically: a smaller pair is a smaller key,
+    /// and equal pairs agree on every byte both levels consumed. `None`
+    /// when either level is. Provided; not meant to be overridden.
+    #[inline]
+    fn digest_words(&self, key: &[u8]) -> Option<[u64; 2]> {
+        let (first, resume) = self.digest(key, 0)?;
+        let (second, _) = self.digest(key, resume)?;
+        Some([first, second])
     }
 }
 

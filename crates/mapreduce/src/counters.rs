@@ -81,7 +81,7 @@ pub enum Counter {
     /// fetch + codec decode run inline between reduce calls.
     ReduceDecodeStallNanos,
     /// Nanoseconds reduce tasks spent inside the k-way merge pulling the
-    /// next record (heap maintenance + run fetch + codec decode). Only
+    /// next record (run fetch + codec decode + loser-tree replay). Only
     /// measured when `JobConfig::trace` is on — the timing calls would
     /// otherwise tax the per-record hot path — so the per-phase
     /// merge-wall breakdown in job profiles comes from here.

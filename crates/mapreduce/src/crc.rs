@@ -1,7 +1,9 @@
 //! CRC32 (IEEE/zlib polynomial) — the integrity check guarding every run
 //! frame written by [`RunWriter`](crate::RunWriter) and verified on
-//! decode. Table-driven, dependency-free, and `const`-built so the table
-//! lives in rodata.
+//! decode. Slicing-by-8: eight `const`-built tables (rodata) let one step
+//! absorb eight input bytes with independent lookups, instead of the
+//! byte-at-a-time walk whose every lookup waits on the previous one. Same
+//! polynomial, same values — only the speed differs.
 //!
 //! The corpus store and segment formats reuse this through the crate's
 //! public re-export rather than carrying their own copies.
@@ -9,8 +11,11 @@
 /// The reflected IEEE polynomial (same as zlib's `crc32`).
 const POLY: u32 = 0xEDB8_8320;
 
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the classic byte table; `TABLES[k][b]` is the CRC of
+/// byte `b` followed by `k` zero bytes, which is what lets eight bytes be
+/// folded in one step.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -23,13 +28,23 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
 
 /// Incremental CRC32 state for multi-slice payloads.
 #[derive(Clone, Copy, Debug)]
@@ -52,8 +67,20 @@ impl Crc32 {
     /// Absorb `bytes` into the checksum.
     pub fn update(&mut self, bytes: &[u8]) {
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = TABLES[7][(lo & 0xff) as usize]
+                ^ TABLES[6][((lo >> 8) & 0xff) as usize]
+                ^ TABLES[5][((lo >> 16) & 0xff) as usize]
+                ^ TABLES[4][(lo >> 24) as usize]
+                ^ TABLES[3][usize::from(c[4])]
+                ^ TABLES[2][usize::from(c[5])]
+                ^ TABLES[1][usize::from(c[6])]
+                ^ TABLES[0][usize::from(c[7])];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ u32::from(b)) & 0xff) as usize];
         }
         self.state = crc;
     }
@@ -74,6 +101,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -81,6 +109,41 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"a"), 0xE8B7_BE43);
+    }
+
+    /// The byte-at-a-time definition the sliced update must reproduce.
+    fn bytewise_reference(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ POLY
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        /// Lengths 0–70 cross every alignment of the 8-byte step and its
+        /// tail; the split point drives the incremental `update` through
+        /// a mid-step state hand-over.
+        #[test]
+        fn sliced_update_equals_the_bytewise_reference(
+            data in prop::collection::vec(0u8..=255, 0..71),
+            split in 0usize..=70,
+        ) {
+            let want = bytewise_reference(&data);
+            prop_assert_eq!(crc32(&data), want);
+            let split = split.min(data.len());
+            let mut c = Crc32::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            prop_assert_eq!(c.finish(), want);
+        }
     }
 
     #[test]

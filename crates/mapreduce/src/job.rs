@@ -1013,23 +1013,27 @@ where
         .timed(self.config.trace);
         let mut reducer = (self.reducer_f)();
         let mut sink = sinks.make(partition)?;
-        let mut key_buf: Vec<u8> = Vec::new();
-        let mut val_buf: Vec<u8> = Vec::new();
-        loop {
-            if !stream.next_record(&mut key_buf, &mut val_buf)? {
-                break;
-            }
-            counters.inc(Counter::ReduceInputGroups);
-            let key = M::OutKey::read_from(&mut ByteReader::new(&key_buf))?;
-            let first_val = std::mem::take(&mut val_buf);
-            let consumed = {
-                let mut values = ValueIter::<M::OutValue>::stream(&mut stream, &key_buf, first_val);
+        // The one buffer a group's key is copied into: the merge's own key
+        // bytes move on with every value the reducer pulls.
+        let mut group_key: Vec<u8> = Vec::new();
+        // Counted locally and added in bulk, like the map side's records.
+        let (mut groups, mut records) = (0u64, 0u64);
+        let drained = (|| -> Result<()> {
+            while let Some(key_bytes) = stream.peek_key() {
+                groups += 1;
+                group_key.clear();
+                group_key.extend_from_slice(key_bytes);
+                let key = M::OutKey::read_from(&mut ByteReader::new(&group_key))?;
+                let mut values = ValueIter::<M::OutValue>::stream(&mut stream, &group_key);
                 let mut ctx = ReduceContext::new(&mut sink, counters, Counter::ReduceOutputRecords);
                 reducer.reduce(key, &mut values, &mut ctx);
-                values.finish()?
-            };
-            counters.add(Counter::ReduceInputRecords, consumed);
-        }
+                records += values.finish()?;
+            }
+            Ok(())
+        })();
+        counters.add(Counter::ReduceInputGroups, groups);
+        counters.add(Counter::ReduceInputRecords, records);
+        drained?;
         counters.add(Counter::ReduceDecodeStallNanos, stream.stall_nanos());
         counters.add(Counter::ReduceMergeNanos, stream.merge_nanos());
         let mut ctx = ReduceContext::new(&mut sink, counters, Counter::ReduceOutputRecords);

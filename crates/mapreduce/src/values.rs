@@ -9,7 +9,7 @@
 use crate::buffer::RecMeta;
 use crate::error::{MrError, Result};
 use crate::io::Writable;
-use crate::merge::MergeStream;
+use crate::merge::{DigestWords, MergeStream};
 use std::marker::PhantomData;
 
 enum Inner<'a> {
@@ -18,13 +18,12 @@ enum Inner<'a> {
         data: &'a [u8],
         metas: std::slice::Iter<'a, RecMeta>,
     },
-    /// Values streamed from the reduce-side merge.
+    /// Values streamed from the reduce-side merge, each decoded straight
+    /// from the slice the merge lends and then popped.
     Stream {
         stream: &'a mut MergeStream,
         group_key: &'a [u8],
-        pending_val: Option<Vec<u8>>,
-        key_buf: Vec<u8>,
-        val_buf: Vec<u8>,
+        group_digest: DigestWords,
         done: bool,
     },
 }
@@ -63,18 +62,14 @@ impl<'a, V: Writable> ValueIter<'a, V> {
         }
     }
 
-    pub(crate) fn stream(
-        stream: &'a mut MergeStream,
-        group_key: &'a [u8],
-        first_val: Vec<u8>,
-    ) -> Self {
+    /// Values of the group that starts at `stream`'s next record, whose
+    /// key the caller copied into `group_key`.
+    pub(crate) fn stream(stream: &'a mut MergeStream, group_key: &'a [u8]) -> Self {
         ValueIter {
             inner: Inner::Stream {
+                group_digest: stream.peek_digest(),
                 stream,
                 group_key,
-                pending_val: Some(first_val),
-                key_buf: Vec::new(),
-                val_buf: Vec::new(),
                 done: false,
             },
             consumed: 0,
@@ -119,33 +114,23 @@ impl<V: Writable> Iterator for ValueIter<'_, V> {
             Inner::Stream {
                 stream,
                 group_key,
-                pending_val,
-                key_buf,
-                val_buf,
+                group_digest,
                 done,
             } => {
-                if let Some(v) = pending_val.take() {
-                    return decode::<V>(&v, consumed, error);
-                }
                 if *done {
                     return None;
                 }
                 // Only records whose key equals the group key belong here.
-                if !stream.next_in_group(group_key) {
+                let Some(val) = stream.peek_in_group(group_key, *group_digest) else {
                     *done = true;
                     return None;
+                };
+                let value = decode::<V>(val, consumed, error);
+                if let Err(e) = stream.pop() {
+                    *error = Some(e);
+                    return None;
                 }
-                match stream.next_record(key_buf, val_buf) {
-                    Ok(true) => decode::<V>(val_buf, consumed, error),
-                    Ok(false) => {
-                        *done = true;
-                        None
-                    }
-                    Err(e) => {
-                        *error = Some(e);
-                        None
-                    }
-                }
+                value
             }
         }
     }

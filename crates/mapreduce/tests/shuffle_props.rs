@@ -167,7 +167,7 @@ impl Reducer for GroupSumCombiner {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The byte-equality fast path in reduce, combine and the merge heap
+    /// The byte-equality fast path in reduce, combine and the merge tree
     /// may only ever answer "equal": keys that differ in bytes but are
     /// equal under the comparator must still land in one group.
     #[test]
