@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the load-bearing primitives: the
 //! varbyte codec, the raw vs deserializing comparator (§V), shuffle
 //! sorting, the reduce-side k-way merge, the suffix-stack reducer path,
-//! posting-list joins, the LRU cache, the kvstore, and Zipf sampling.
+//! serving-segment lookups and prefix scans, posting-list joins, the LRU
+//! cache, the kvstore, and Zipf sampling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mapreduce::{
@@ -10,6 +11,7 @@ use mapreduce::{
 use ngrams::{reverse_lex, Gram, Posting, PostingList, ReverseLexComparator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serve::{SegmentReader, SegmentWriter};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -157,6 +159,95 @@ fn bench_merge(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_segment(c: &mut Criterion) {
+    // What one SUFFIX-σ reduce partition seals: ≈ 46 k distinct grams of
+    // one to five terms over a Zipf-ish vocabulary, one- or two-byte
+    // counts. A lookup reads one of ≈ 60 blocks; half the probes are for
+    // keys that are not there (a present key with its last byte bumped).
+    const KEYS: usize = 46_000;
+    const PROBES: usize = 2_000;
+    let mut rng = StdRng::seed_from_u64(14);
+    let mut keys: Vec<Vec<u8>> = (0..KEYS * 2)
+        .map(|_| {
+            let len = rng.random_range(1..=5usize);
+            let terms = (0..len)
+                .map(|_| {
+                    let cap = rng.random_range(1..4_000u32);
+                    rng.random_range(0..cap)
+                })
+                .collect();
+            to_bytes(&Gram(terms))
+        })
+        .collect();
+    keys.sort();
+    keys.dedup();
+    keys.truncate(KEYS);
+    let present: Vec<&[u8]> = (0..PROBES)
+        .map(|_| keys[rng.random_range(0..keys.len())].as_slice())
+        .collect();
+    let absent: Vec<Vec<u8>> = present
+        .iter()
+        .map(|k| {
+            let mut k = k.to_vec();
+            *k.last_mut().unwrap() ^= 0x40;
+            k
+        })
+        .filter(|k| keys.binary_search(k).is_err())
+        .collect();
+    // One-term prefixes of frequent first terms: each has far more than
+    // 50 extensions.
+    let prefixes: Vec<Vec<u8>> = (0..32u32).map(|t| to_bytes(&Gram(vec![t]))).collect();
+
+    let mut group = c.benchmark_group("segment");
+    for codec in [RunCodec::FrontCoded, RunCodec::Plain] {
+        let path = std::env::temp_dir().join(format!(
+            "micro-segment-{}-{}.seg",
+            std::process::id(),
+            codec.name()
+        ));
+        let mut w = SegmentWriter::create(&path, codec).unwrap();
+        for (i, k) in keys.iter().enumerate() {
+            w.push(k, 5 + (i as u64 * 7) % 300).unwrap();
+        }
+        w.finish().unwrap();
+        let reader = SegmentReader::open(&path).unwrap();
+
+        group.throughput(Throughput::Elements(present.len() as u64));
+        group.bench_function(&format!("lookup_present_{}", codec.name()), |b| {
+            b.iter(|| {
+                let found = present.iter().filter_map(|k| reader.lookup(k).unwrap());
+                black_box(found.sum::<u64>())
+            });
+        });
+        group.throughput(Throughput::Elements(absent.len() as u64));
+        group.bench_function(&format!("lookup_absent_{}", codec.name()), |b| {
+            b.iter(|| {
+                let found = absent.iter().filter_map(|k| reader.lookup(k).unwrap());
+                black_box(found.count())
+            });
+        });
+        group.throughput(Throughput::Elements(prefixes.len() as u64));
+        group.bench_function(&format!("scan_prefix_50_{}", codec.name()), |b| {
+            b.iter(|| {
+                let mut rows = 0usize;
+                for p in &prefixes {
+                    let base = rows;
+                    reader
+                        .scan_prefix(p, &mut |k, c| {
+                            black_box((k, c));
+                            rows += 1;
+                            Ok(rows - base < 50)
+                        })
+                        .unwrap();
+                }
+                black_box(rows)
+            });
+        });
+        let _ = std::fs::remove_file(&path);
+    }
+    group.finish();
+}
+
 fn bench_posting_join(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(4);
     let make_list = |docs: usize, positions: usize, rng: &mut StdRng| PostingList {
@@ -297,6 +388,7 @@ criterion_group!(
     bench_comparators,
     bench_shuffle_sort,
     bench_merge,
+    bench_segment,
     bench_posting_join,
     bench_lru,
     bench_kvstore,

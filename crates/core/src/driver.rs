@@ -15,8 +15,9 @@ use crate::suffix_sigma::{EmitFilter, StackReducer, SuffixMapper};
 use crate::timeseries::TimeSeries;
 use corpus::{Collection, CorpusReader};
 use mapreduce::{
-    Cluster, CounterSnapshot, Job, JobConfig, MrError, RecordSink, RecordSinkFactory, Result,
-    RunRecordSource, RunSinkFactory, SliceSource, VarintSeqComparator, VecSinkFactory,
+    Cluster, CounterSnapshot, HashPartition, Job, JobConfig, MrError, Partitioner, RecordSink,
+    RecordSinkFactory, Result, RunRecordSource, RunSinkFactory, SliceSource, VarintSeqComparator,
+    VecSinkFactory,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,6 +51,49 @@ impl Method {
             Method::AprioriScan => "APRIORI-SCAN",
             Method::AprioriIndex => "APRIORI-INDEX",
             Method::SuffixSigma => "SUFFIX-SIGMA",
+        }
+    }
+}
+
+/// How a computation's output grams are spread over the reduce
+/// partitions it seals — what lets a reader of those partitions go
+/// straight to the one that can hold a gram (Hadoop's
+/// `MapFileOutputFormat.getEntry` routes by partitioner for the same
+/// reason).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum OutputPartitioner {
+    /// By first term ([`FirstTermPartitioner`], paper §IV): every gram
+    /// that starts with a term — so every extension of a non-empty
+    /// prefix — sits in one partition.
+    FirstTerm,
+    /// By hash of the whole gram ([`HashPartition`], the engine default).
+    KeyHash,
+}
+
+impl OutputPartitioner {
+    /// Stable name (the index manifest's `partitioner` value).
+    pub fn name(&self) -> &'static str {
+        match self {
+            OutputPartitioner::FirstTerm => "first-term",
+            OutputPartitioner::KeyHash => "key-hash",
+        }
+    }
+
+    /// Parse a [`name`](OutputPartitioner::name).
+    pub fn parse(s: &str) -> Option<OutputPartitioner> {
+        match s {
+            "first-term" => Some(OutputPartitioner::FirstTerm),
+            "key-hash" => Some(OutputPartitioner::KeyHash),
+            _ => None,
+        }
+    }
+
+    /// The partition of `num_partitions` that holds `gram` — the job's
+    /// own partitioner, so routing cannot drift from placement.
+    pub fn partition(&self, gram: &Gram, num_partitions: usize) -> usize {
+        match self {
+            OutputPartitioner::FirstTerm => FirstTermPartitioner.partition(gram, num_partitions),
+            OutputPartitioner::KeyHash => HashPartition.partition(gram, num_partitions),
         }
     }
 }
@@ -264,6 +308,20 @@ impl<'a> Computation<'a> {
     /// The parameters this computation runs with.
     pub fn params(&self) -> &NGramParams {
         &self.params
+    }
+
+    /// How [`run_to_sink`](Computation::run_to_sink) spreads its output
+    /// over the partitions it seals, when one rule covers it: first term
+    /// for SUFFIX-σ's full output, whole-gram hash for NAIVE. `None` for
+    /// the APRIORI methods (one sink, nothing to route) and for
+    /// maximal/closed output, whose post-filter job partitions by the
+    /// *last* term.
+    pub fn output_partitioner(&self) -> Option<OutputPartitioner> {
+        match (self.method, self.params.output) {
+            (Method::SuffixSigma, OutputMode::All) => Some(OutputPartitioner::FirstTerm),
+            (Method::Naive, _) => Some(OutputPartitioner::KeyHash),
+            _ => None,
+        }
     }
 
     /// Check method/parameter compatibility without running (see

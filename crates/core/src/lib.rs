@@ -68,7 +68,7 @@ pub use driver::{
 pub use driver::{
     compute_inverted_index, compute_inverted_index_to_sink, compute_time_series,
     compute_time_series_to_sink, validate_params, Computation, ComputeInput, Method, NGramParams,
-    NGramResult, NGramRunStats, OutputMode,
+    NGramResult, NGramRunStats, OutputMode, OutputPartitioner,
 };
 pub use gram::{lcp, reverse_lex, FirstTermPartitioner, Gram, ReverseLexComparator};
 pub use input::{

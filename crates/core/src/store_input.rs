@@ -14,7 +14,7 @@
 //! shuffle erases.
 
 use crate::input::{flatten_document, InputProvider, InputSeq};
-use corpus::{CorpusReader, Document};
+use corpus::CorpusReader;
 use mapreduce::{InputStats, RecordSource, RecordStream, Result};
 use std::sync::Arc;
 use std::time::Instant;
@@ -164,12 +164,11 @@ impl CorpusSplitStream {
         Ok(())
     }
 
-    /// Double-buffered variant: a scoped prefetcher thread reads and
-    /// decodes blocks in order over a rendezvous channel, so the read of
-    /// block *k+1* overlaps the flattening of block *k*. At most two
-    /// blocks are resident at once (the one being flattened plus the one
-    /// being prefetched); the peak counter witnesses the pair. Time spent
-    /// blocked on the channel is the residual input latency the overlap
+    /// Double-buffered variant ([`double_buffered`]): the read of block
+    /// *k+1* overlaps the flattening of block *k*. At most two blocks are
+    /// resident at once (the one being flattened plus the one being
+    /// prefetched); the peak counter witnesses the pair. Time spent
+    /// blocked on the hand-off is the residual input latency the overlap
     /// could not hide, reported via [`InputStats::stall_nanos`].
     fn for_each_prefetch(
         &mut self,
@@ -178,49 +177,71 @@ impl CorpusSplitStream {
         let cfs = Arc::clone(self.reader.unigram_cf());
         let cf = move |t: u32| cfs.get(t as usize).copied().unwrap_or(0);
         let cf_ref: Option<&dyn Fn(u32) -> u64> = if self.split_at_tau { Some(&cf) } else { None };
-        let reader = Arc::clone(&self.reader);
-        let blocks = self.blocks.clone();
-        type Fetched = std::io::Result<(Vec<Document>, u64, u64)>;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Fetched>(0);
+        let (reader, blocks, tau) = (&self.reader, &self.blocks, self.tau);
         let stats = &mut self.stats;
-        let (tau, blocks_total) = (self.tau, self.blocks.len());
-        std::thread::scope(move |scope| -> Result<()> {
-            scope.spawn(move || {
-                for &b in &blocks {
-                    let entry = reader.block_entry(b);
-                    let fetched = reader
-                        .read_block(b)
-                        .map(|docs| (docs, entry.bytes, entry.raw_bytes));
-                    if tx.send(fetched).is_err() {
-                        return; // consumer aborted; stop fetching
-                    }
-                }
-            });
-            let mut prev_raw = 0u64;
-            for _ in 0..blocks_total {
-                let waited = Instant::now();
-                let fetched = rx.recv();
-                stats.stall_nanos += waited.elapsed().as_nanos() as u64;
-                let (docs, bytes, raw_bytes) = match fetched {
-                    Ok(res) => res?,
-                    Err(_) => break, // producer gone (only after an error)
-                };
-                stats.bytes_read += bytes;
-                stats.raw_bytes += raw_bytes;
+        let mut prev_raw = 0u64;
+        let (drained, stall_nanos) = double_buffered(
+            blocks.len(),
+            |i| reader.read_block(blocks[i]),
+            |i, docs| {
+                let docs = docs?;
+                let entry = reader.block_entry(blocks[i]);
+                stats.bytes_read += entry.bytes;
+                stats.raw_bytes += entry.raw_bytes;
                 stats.blocks_read += 1;
                 // Residency witness: the decoded block being flattened
                 // plus the one the prefetcher decoded behind it.
-                stats.peak_block_bytes = stats.peak_block_bytes.max(prev_raw + raw_bytes);
-                prev_raw = raw_bytes;
+                stats.peak_block_bytes = stats.peak_block_bytes.max(prev_raw + entry.raw_bytes);
+                prev_raw = entry.raw_bytes;
                 for d in &docs {
                     flatten_document(d.id, d.year, &d.sentences, tau, cf_ref, &mut |did, seq| {
                         f(&did, &seq)
                     })?;
                 }
-            }
-            Ok(())
-        })
+                Ok(())
+            },
+        );
+        self.stats.stall_nanos += stall_nanos;
+        drained
     }
+}
+
+/// Run `fetch(0)`, `fetch(1)`, … `fetch(n - 1)` on a scoped background
+/// thread, one item ahead of `consume`: the hand-off is a rendezvous, so
+/// while `consume(i, _)` runs the fetcher completes `fetch(i + 1)` and
+/// then waits — at most the consumed item and the one fetched behind it
+/// exist. Returns `consume`'s first error (the fetcher stops at the next
+/// hand-off) and the nanoseconds the consumer spent waiting for items.
+fn double_buffered<T: Send>(
+    n: usize,
+    fetch: impl Fn(usize) -> T + Send,
+    mut consume: impl FnMut(usize, T) -> Result<()>,
+) -> (Result<()>, u64) {
+    let (tx, rx) = std::sync::mpsc::sync_channel::<T>(0);
+    // `move`: returning drops `rx`, which fails the fetcher's pending
+    // `send` and lets the scope join it.
+    std::thread::scope(move |scope| {
+        scope.spawn(move || {
+            for i in 0..n {
+                if tx.send(fetch(i)).is_err() {
+                    return; // consumer aborted; stop fetching
+                }
+            }
+        });
+        let mut stall_nanos = 0u64;
+        for i in 0..n {
+            let waited = Instant::now();
+            let fetched = rx.recv();
+            stall_nanos += waited.elapsed().as_nanos() as u64;
+            let Ok(item) = fetched else {
+                break; // fetcher gone: it panicked, and the scope re-raises
+            };
+            if let Err(e) = consume(i, item) {
+                return (Err(e), stall_nanos);
+            }
+        }
+        (Ok(()), stall_nanos)
+    })
 }
 
 impl RecordStream<u64, InputSeq> for CorpusSplitStream {
@@ -399,66 +420,78 @@ mod tests {
         assert!(split_skew(&[300, 100]) > 1.4);
     }
 
-    /// The acceptance witness for the input stage: under pipelining, the
-    /// time the consumer is *stalled* on input must shrink versus the
-    /// synchronous path, where every read+decode blocks the consumer in
-    /// full. The sync cost is measured by draining the same split with a
-    /// no-op consumer; the pipelined leg adds per-record compute so the
-    /// prefetcher has something to hide behind.
+    /// The acceptance witness for the input stage, by causality instead
+    /// of by clock: every `consume(i)` refuses to return until
+    /// `fetch(i + 1)` has completed. A reader that fetched only between
+    /// consumes would never complete it (the wait would time out), so
+    /// finishing at all proves the fetch of item *i+1* overlaps the
+    /// consumption of item *i*; and at that moment exactly `i + 2`
+    /// fetches have ever started — the rendezvous hand-off keeps the
+    /// fetcher one item ahead, never two, which is the two-resident-blocks
+    /// bound.
     #[test]
-    fn pipelined_input_stall_shrinks_versus_sync_read_time() {
-        // Sized so the sync read+decode cost is comfortably above the
-        // pipelined leg's fixed overheads (thread spawn + first-block
-        // fetch), which is what keeps the comparison below stable on
-        // loaded CI hosts.
-        let coll = generate(&CorpusProfile::tiny("stall", 2000), 7);
-        let path =
-            std::env::temp_dir().join(format!("core-store-input-stall-{}.ngs", std::process::id()));
-        let mut w = corpus::CorpusWriter::create(&path, &coll.name)
-            .unwrap()
-            .block_budget(512);
-        for d in &coll.docs {
-            w.push(d).unwrap();
-        }
-        w.finish(&coll.dictionary).unwrap();
-        let reader = Arc::new(CorpusReader::open(&path).unwrap());
-        assert!(reader.num_blocks() > 8, "needs many blocks to overlap");
-
-        // Warm the page cache so both legs read from memory, then
-        // measure the synchronous read+decode cost of the whole store —
-        // the time the sync path stalls its consumer.
-        let mut warmup = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-            .into_splits(1)
-            .unwrap();
-        warmup[0].for_each(&mut |_, _| Ok(())).unwrap();
-        let started = std::time::Instant::now();
-        let mut splits = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-            .into_splits(1)
-            .unwrap();
-        splits[0].for_each(&mut |_, _| Ok(())).unwrap();
-        let sync_nanos = started.elapsed().as_nanos() as u64;
-
-        // Pipelined with per-fragment compute: reads hide behind it.
-        let mut splits = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-            .pipelined(true)
-            .into_splits(1)
-            .unwrap();
-        splits[0]
-            .for_each(&mut |_, _| {
-                std::thread::sleep(std::time::Duration::from_micros(10));
+    fn the_next_fetch_completes_while_the_current_item_is_consumed() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+        const ITEMS: usize = 8;
+        let started = AtomicUsize::new(0);
+        let (done_tx, done_rx) = mpsc::channel::<usize>();
+        let mut consumed = Vec::new();
+        let (drained, _stall) = double_buffered(
+            ITEMS,
+            |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                done_tx.send(i).unwrap();
+                i * 10
+            },
+            |i, item| {
+                assert_eq!(item, i * 10, "items arrive in fetch order");
+                if i + 1 < ITEMS {
+                    loop {
+                        let fetched = done_rx
+                            .recv_timeout(Duration::from_secs(30))
+                            .expect("the next fetch must complete during this consume");
+                        if fetched == i + 1 {
+                            break;
+                        }
+                    }
+                    assert_eq!(
+                        started.load(Ordering::SeqCst),
+                        i + 2,
+                        "one ahead, never two"
+                    );
+                }
+                consumed.push(i);
                 Ok(())
-            })
-            .unwrap();
-        let stats = splits[0].input_stats();
-        assert!(stats.stall_nanos > 0, "the first block is always waited on");
-        assert!(
-            stats.stall_nanos < sync_nanos,
-            "pipelined stall ({}) must shrink below the sync read+decode \
-             time ({})",
-            stats.stall_nanos,
-            sync_nanos
+            },
         );
-        let _ = std::fs::remove_file(&path);
+        drained.unwrap();
+        assert_eq!(consumed, (0..ITEMS).collect::<Vec<_>>());
+        assert_eq!(started.load(Ordering::SeqCst), ITEMS);
+    }
+
+    #[test]
+    fn a_failing_consumer_stops_the_fetcher_and_surfaces_its_error() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let started = AtomicUsize::new(0);
+        let (drained, _stall) = double_buffered(
+            100,
+            |i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+            |i, _| {
+                if i == 2 {
+                    return Err(mapreduce::MrError::Config("stop".into()));
+                }
+                Ok(())
+            },
+        );
+        assert!(matches!(drained, Err(mapreduce::MrError::Config(_))));
+        // Items 0..=2 were handed over; at most one more was fetched
+        // behind the failing one before its hand-off found nobody.
+        assert!(started.load(Ordering::SeqCst) <= 4);
     }
 
     #[test]

@@ -114,7 +114,7 @@ pub use merge::MergeStream;
 pub use partition::{FnPartitioner, HashPartition, Partitioner};
 pub use profile::{JobProfile, PhaseProfile, TaskProfile};
 pub use run::{
-    decode_block, BlockCodec, BlockEncoder, DecodeState, FrontCodedCodec, PlainCodec,
+    BlockCodec, BlockCursor, BlockEncoder, DecodeState, FrontCodedCodec, PlainCodec,
     PostingDeltaCodec, RawBlock, Run, RunCodec, RunInput, RunReader, RunWriter, TempDir,
     RUN_BLOCK_BYTES,
 };

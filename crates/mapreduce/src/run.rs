@@ -45,6 +45,7 @@ use crate::fault::FaultPlan;
 use crate::io::{read_vu64_at, write_vu64};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -258,12 +259,12 @@ impl BlockCodec for PlainCodec {
         key: &mut Vec<u8>,
         val: &mut Vec<u8>,
     ) -> Result<bool> {
-        let Some(klen) = input.next_varint()? else {
+        let Some((buf, pos)) = input.payload()? else {
             return Ok(false);
         };
-        input.append_exact(klen as usize, key)?;
-        let vlen = input.read_varint()?;
-        input.append_exact(vlen as usize, val)?;
+        let (k, v) = parse_plain_record(buf, pos)?;
+        key.extend_from_slice(&buf[k]);
+        val.extend_from_slice(&buf[v]);
         Ok(true)
     }
 }
@@ -324,37 +325,7 @@ impl BlockCodec for FrontCodedCodec {
         key: &mut Vec<u8>,
         val: &mut Vec<u8>,
     ) -> Result<bool> {
-        let Some(header) = input.next_varint()? else {
-            return Ok(false);
-        };
-        let same_val = header & 1 == 1;
-        let inline = (header >> 1) & SLEN_INLINE_MAX;
-        let lcp = (header >> 5) as usize;
-        if lcp > state.prev_key.len() {
-            return Err(MrError::Corrupt("front-coded lcp exceeds previous key"));
-        }
-        let suffix_len = if inline == SLEN_INLINE_MAX {
-            // Checked: a corrupt escape varint must surface as an error,
-            // not wrap into a bogus small length.
-            usize::try_from(input.read_varint()?)
-                .ok()
-                .and_then(|extra| extra.checked_add(SLEN_INLINE_MAX as usize))
-                .ok_or(MrError::Corrupt("front-coded suffix length overflow"))?
-        } else {
-            inline as usize
-        };
-        state.prev_key.truncate(lcp);
-        input.append_exact(suffix_len, &mut state.prev_key)?;
-        if same_val {
-            val.extend_from_slice(&state.prev_val);
-        } else {
-            let vlen = input.read_varint()? as usize;
-            input.append_exact(vlen, val)?;
-            state.prev_val.clear();
-            state.prev_val.extend_from_slice(val);
-        }
-        key.extend_from_slice(&state.prev_key);
-        Ok(true)
+        decode_delta_record(RunCodec::FrontCoded, input, state, key, val)
     }
 }
 
@@ -415,40 +386,7 @@ impl BlockCodec for PostingDeltaCodec {
         key: &mut Vec<u8>,
         val: &mut Vec<u8>,
     ) -> Result<bool> {
-        let Some(header) = input.next_varint()? else {
-            return Ok(false);
-        };
-        let same_val = header & 1 == 1;
-        let inline = (header >> 1) & SLEN_INLINE_MAX;
-        let lcp = (header >> 5) as usize;
-        if lcp > state.prev_key.len() {
-            return Err(MrError::Corrupt("posting-delta lcp exceeds previous key"));
-        }
-        let suffix_len = if inline == SLEN_INLINE_MAX {
-            usize::try_from(input.read_varint()?)
-                .ok()
-                .and_then(|extra| extra.checked_add(SLEN_INLINE_MAX as usize))
-                .ok_or(MrError::Corrupt("posting-delta suffix length overflow"))?
-        } else {
-            inline as usize
-        };
-        state.prev_key.truncate(lcp);
-        input.append_exact(suffix_len, &mut state.prev_key)?;
-        if !same_val {
-            let vlcp = usize::try_from(input.read_varint()?)
-                .map_err(|_| MrError::Corrupt("posting-delta value lcp overflow"))?;
-            if vlcp > state.prev_val.len() {
-                return Err(MrError::Corrupt(
-                    "posting-delta value lcp exceeds previous value",
-                ));
-            }
-            let vslen = input.read_varint()? as usize;
-            state.prev_val.truncate(vlcp);
-            input.append_exact(vslen, &mut state.prev_val)?;
-        }
-        val.extend_from_slice(&state.prev_val);
-        key.extend_from_slice(&state.prev_key);
-        Ok(true)
+        decode_delta_record(RunCodec::PostingDelta, input, state, key, val)
     }
 }
 
@@ -461,6 +399,150 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
     i
 }
 
+/// Where one encoded record's pieces sit inside its block payload — the
+/// record parse shared by [`BlockCodec::decode_record`], which copies the
+/// pieces out, and [`BlockCursor`], which lends them.
+struct RecordSpan {
+    /// Leading bytes kept from the previous key (always 0 under `plain`).
+    lcp: usize,
+    /// The key's remaining bytes.
+    suffix: Range<usize>,
+    value: ValueSpan,
+}
+
+enum ValueSpan {
+    /// The previous record's value again.
+    Repeat,
+    /// Stored in full.
+    Full(Range<usize>),
+    /// The previous value's first `lcp` bytes, then these.
+    Delta { lcp: usize, suffix: Range<usize> },
+}
+
+/// [`read_vu64_at`] with the one-byte case — nearly every length and
+/// header of a shuffle or segment record — kept off its loop.
+#[inline]
+fn read_len(buf: &[u8], pos: &mut usize) -> Result<u64> {
+    match buf.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(u64::from(byte))
+        }
+        _ => read_vu64_at(buf, pos),
+    }
+}
+
+/// The `len` bytes at `*pos`, bounds-checked against the payload.
+#[inline]
+fn take_span(buf: &[u8], pos: &mut usize, len: u64) -> Result<Range<usize>> {
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .filter(|&end| end <= buf.len())
+        .ok_or(MrError::Corrupt("run record out of bounds"))?;
+    let span = *pos..end;
+    *pos = end;
+    Ok(span)
+}
+
+/// Key and value of the `[klen][key][vlen][val]` record at `buf[*pos]`.
+#[inline]
+fn parse_plain_record(buf: &[u8], pos: &mut usize) -> Result<(Range<usize>, Range<usize>)> {
+    let klen = read_len(buf, pos)?;
+    let key = take_span(buf, pos, klen)?;
+    let vlen = read_len(buf, pos)?;
+    Ok((key, take_span(buf, pos, vlen)?))
+}
+
+/// Parse the record of `codec` starting at `buf[*pos]`, validating every
+/// length against the payload and every delta against the previous
+/// record's key and value lengths.
+#[inline]
+fn parse_record(
+    codec: RunCodec,
+    buf: &[u8],
+    pos: &mut usize,
+    prev_key_len: usize,
+    prev_val_len: usize,
+) -> Result<RecordSpan> {
+    if codec == RunCodec::Plain {
+        let (suffix, val) = parse_plain_record(buf, pos)?;
+        return Ok(RecordSpan {
+            lcp: 0,
+            suffix,
+            value: ValueSpan::Full(val),
+        });
+    }
+    let header = read_len(buf, pos)?;
+    let same_val = header & 1 == 1;
+    let inline = (header >> 1) & SLEN_INLINE_MAX;
+    let lcp = usize::try_from(header >> 5)
+        .ok()
+        .filter(|&lcp| lcp <= prev_key_len)
+        .ok_or(MrError::Corrupt("key lcp exceeds previous key"))?;
+    let slen = if inline == SLEN_INLINE_MAX {
+        // Checked: a corrupt escape varint must surface as an error, not
+        // wrap into a bogus small length.
+        read_len(buf, pos)?
+            .checked_add(SLEN_INLINE_MAX)
+            .ok_or(MrError::Corrupt("key suffix length overflow"))?
+    } else {
+        inline
+    };
+    let suffix = take_span(buf, pos, slen)?;
+    let value = if same_val {
+        ValueSpan::Repeat
+    } else if codec == RunCodec::FrontCoded {
+        let vlen = read_len(buf, pos)?;
+        ValueSpan::Full(take_span(buf, pos, vlen)?)
+    } else {
+        let lcp = usize::try_from(read_len(buf, pos)?)
+            .ok()
+            .filter(|&lcp| lcp <= prev_val_len)
+            .ok_or(MrError::Corrupt(
+                "posting-delta value lcp exceeds previous value",
+            ))?;
+        let vslen = read_len(buf, pos)?;
+        ValueSpan::Delta {
+            lcp,
+            suffix: take_span(buf, pos, vslen)?,
+        }
+    };
+    Ok(RecordSpan { lcp, suffix, value })
+}
+
+/// [`BlockCodec::decode_record`] of the two delta codecs: rebuild key and
+/// value in `state`, then copy them out.
+#[inline]
+fn decode_delta_record(
+    codec: RunCodec,
+    input: &mut RunInput,
+    state: &mut DecodeState,
+    key: &mut Vec<u8>,
+    val: &mut Vec<u8>,
+) -> Result<bool> {
+    let Some((buf, pos)) = input.payload()? else {
+        return Ok(false);
+    };
+    let rec = parse_record(codec, buf, pos, state.prev_key.len(), state.prev_val.len())?;
+    state.prev_key.truncate(rec.lcp);
+    state.prev_key.extend_from_slice(&buf[rec.suffix]);
+    match rec.value {
+        ValueSpan::Repeat => {}
+        ValueSpan::Full(v) => {
+            state.prev_val.clear();
+            state.prev_val.extend_from_slice(&buf[v]);
+        }
+        ValueSpan::Delta { lcp, suffix } => {
+            state.prev_val.truncate(lcp);
+            state.prev_val.extend_from_slice(&buf[suffix]);
+        }
+    }
+    key.extend_from_slice(&state.prev_key);
+    val.extend_from_slice(&state.prev_val);
+    Ok(true)
+}
+
 // ---------------------------------------------------------------------------
 // Standalone block encode/decode
 // ---------------------------------------------------------------------------
@@ -471,8 +553,7 @@ fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
 /// reads one block per lookup) rather than a sequential [`Run`].
 ///
 /// Every codec restarts its delta chain at the first record of a block,
-/// so a block produced here decodes with a fresh [`DecodeState`] — see
-/// [`decode_block`].
+/// so a block produced here decodes on its own — see [`BlockCursor`].
 pub struct BlockEncoder {
     codec: RunCodec,
     block: Vec<u8>,
@@ -543,27 +624,78 @@ impl BlockEncoder {
     }
 }
 
-/// Decode one self-contained block produced by [`BlockEncoder`], calling
-/// `f` with each record's key and value bytes in encoding order.
+/// Borrowing reader over one self-contained block produced by
+/// [`BlockEncoder`]: records come back in encoding order, lent rather
+/// than copied, so a caller that stops early pays only for the records
+/// it looked at.
 ///
 /// The bytes are one bare codec payload — no run frame headers; the
 /// containing format (e.g. a serving segment) owns integrity checking.
-pub fn decode_block(
+/// `plain` lends key and value straight from the block; the delta codecs
+/// rebuild the key in `state` (front coding needs the previous key),
+/// `front` lends the value from the block and `posting-delta` rebuilds
+/// it in `state` too. A caller that keeps its [`DecodeState`] between
+/// blocks therefore decodes without allocating.
+pub struct BlockCursor<'a> {
     codec: RunCodec,
-    bytes: Vec<u8>,
-    mut f: impl FnMut(&[u8], &[u8]) -> Result<()>,
-) -> Result<()> {
-    let mut input = RunInput::mem_unframed(Arc::new(bytes));
-    let mut state = DecodeState::default();
-    let codec = codec.block_codec();
-    let (mut key, mut val) = (Vec::new(), Vec::new());
-    loop {
-        key.clear();
-        val.clear();
-        if !codec.decode_record(&mut input, &mut state, &mut key, &mut val)? {
-            return Ok(());
+    bytes: &'a [u8],
+    pos: usize,
+    state: &'a mut DecodeState,
+    /// The last value `front` stored in full — what its repeat flag lends.
+    stored_val: Range<usize>,
+}
+
+impl<'a> BlockCursor<'a> {
+    /// Cursor at the first record of `bytes`; `state` is reset.
+    pub fn new(codec: RunCodec, bytes: &'a [u8], state: &'a mut DecodeState) -> Self {
+        state.prev_key.clear();
+        state.prev_val.clear();
+        BlockCursor {
+            codec,
+            bytes,
+            pos: 0,
+            state,
+            stored_val: 0..0,
         }
-        f(&key, &val)?;
+    }
+
+    /// The next record's key and value, valid until the next call;
+    /// `None` at the end of the block.
+    // Not an `Iterator`: the items borrow from the cursor itself.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<Option<(&[u8], &[u8])>> {
+        if self.pos >= self.bytes.len() {
+            return Ok(None);
+        }
+        let state = &mut *self.state;
+        let rec = parse_record(
+            self.codec,
+            self.bytes,
+            &mut self.pos,
+            state.prev_key.len(),
+            state.prev_val.len(),
+        )?;
+        let key = if self.codec == RunCodec::Plain {
+            &self.bytes[rec.suffix]
+        } else {
+            state.prev_key.truncate(rec.lcp);
+            state.prev_key.extend_from_slice(&self.bytes[rec.suffix]);
+            &state.prev_key
+        };
+        let val = match rec.value {
+            ValueSpan::Repeat if self.codec == RunCodec::PostingDelta => &state.prev_val,
+            ValueSpan::Repeat => &self.bytes[self.stored_val.clone()],
+            ValueSpan::Full(v) => {
+                self.stored_val = v.clone();
+                &self.bytes[v]
+            }
+            ValueSpan::Delta { lcp, suffix } => {
+                state.prev_val.truncate(lcp);
+                state.prev_val.extend_from_slice(&self.bytes[suffix]);
+                &state.prev_val
+            }
+        };
+        Ok(Some((key, val)))
     }
 }
 
@@ -601,7 +733,7 @@ pub struct Run {
 impl Run {
     fn open_input(&self) -> Result<RunInput> {
         Ok(match &self.source {
-            RunSource::Mem(data) => RunInput::mem_framed(
+            RunSource::Mem(data) => RunInput::mem(
                 Arc::clone(data),
                 self.fault.clone(),
                 "<mem-run>".to_string(),
@@ -963,10 +1095,6 @@ enum InputSrc {
         data: Arc<Vec<u8>>,
         pos: usize,
         frame_end: usize,
-        /// `false` for [`decode_block`] inputs, whose bytes are one bare
-        /// codec payload with no frame headers (their container — e.g. a
-        /// serving segment — carries its own CRCs).
-        framed: bool,
     },
     /// Reader over a file-backed run; each frame payload is loaded and
     /// verified into `frame` before any record of it is decoded.
@@ -978,8 +1106,8 @@ enum InputSrc {
 }
 
 /// Byte input of one run: an in-memory slice or a buffered spill file,
-/// exposed to codecs one CRC-verified frame payload at a time.
-/// [`BlockCodec::decode_record`] pulls varints and payload bytes from it.
+/// exposed to codecs one CRC-verified frame payload at a time:
+/// [`BlockCodec::decode_record`] parses its record from that slice.
 pub struct RunInput {
     src: InputSrc,
     fault: Option<Arc<FaultPlan>>,
@@ -990,33 +1118,15 @@ pub struct RunInput {
 }
 
 impl RunInput {
-    fn mem_framed(data: Arc<Vec<u8>>, fault: Option<Arc<FaultPlan>>, name: String) -> Self {
+    fn mem(data: Arc<Vec<u8>>, fault: Option<Arc<FaultPlan>>, name: String) -> Self {
         RunInput {
             src: InputSrc::Mem {
                 data,
                 pos: 0,
                 frame_end: 0,
-                framed: true,
             },
             fault,
             name,
-            frames_read: 0,
-        }
-    }
-
-    /// Input over one bare codec payload with no frame headers (the
-    /// [`decode_block`] path).
-    fn mem_unframed(data: Arc<Vec<u8>>) -> Self {
-        let end = data.len();
-        RunInput {
-            src: InputSrc::Mem {
-                data,
-                pos: 0,
-                frame_end: end,
-                framed: false,
-            },
-            fault: None,
-            name: "<block>".to_string(),
             frames_read: 0,
         }
     }
@@ -1050,9 +1160,8 @@ impl RunInput {
                 data,
                 pos,
                 frame_end,
-                framed,
             } => {
-                if !*framed || *pos >= data.len() {
+                if *pos >= data.len() {
                     return Ok(false);
                 }
                 let len = read_vu64_at(data, pos)
@@ -1132,86 +1241,32 @@ impl RunInput {
         }
     }
 
-    /// Read a varint; `None` on clean EOF at a record boundary. Advances
-    /// to the next frame when the current one is fully consumed (records
-    /// never span frames).
-    fn next_varint(&mut self) -> Result<Option<u64>> {
+    /// The current frame's payload and the read position inside it, at a
+    /// record boundary; `None` on clean end-of-run. Loads (and verifies)
+    /// the next frame when the current one is fully consumed — records
+    /// never span frames, so a codec parses one whole record from the
+    /// slice it is handed.
+    fn payload(&mut self) -> Result<Option<(&[u8], &mut usize)>> {
         loop {
-            match &mut self.src {
-                InputSrc::Mem {
-                    data,
-                    pos,
-                    frame_end,
-                    ..
-                } => {
-                    if *pos < *frame_end {
-                        return Ok(Some(read_vu64_at(&data[..*frame_end], pos)?));
-                    }
-                }
-                InputSrc::File { frame, fpos, .. } => {
-                    if *fpos < frame.len() {
-                        return Ok(Some(read_vu64_at(frame, fpos)?));
-                    }
-                }
+            let consumed = match &self.src {
+                InputSrc::Mem { pos, frame_end, .. } => pos >= frame_end,
+                InputSrc::File { frame, fpos, .. } => *fpos >= frame.len(),
+            };
+            if !consumed {
+                break;
             }
             if !self.load_frame()? {
                 return Ok(None);
             }
         }
-    }
-
-    /// Read a varint that must be present (mid-record, so it must not
-    /// cross a frame boundary).
-    fn read_varint(&mut self) -> Result<u64> {
-        match &mut self.src {
+        Ok(Some(match &mut self.src {
             InputSrc::Mem {
                 data,
                 pos,
                 frame_end,
-                ..
-            } => {
-                if *pos >= *frame_end {
-                    return Err(MrError::Corrupt("truncated run frame"));
-                }
-                read_vu64_at(&data[..*frame_end], pos)
-            }
-            InputSrc::File { frame, fpos, .. } => {
-                if *fpos >= frame.len() {
-                    return Err(MrError::Corrupt("truncated run frame"));
-                }
-                read_vu64_at(frame, fpos)
-            }
-        }
-    }
-
-    /// Append exactly `len` payload bytes to `out` (mid-record, within
-    /// the current frame).
-    fn append_exact(&mut self, len: usize, out: &mut Vec<u8>) -> Result<()> {
-        match &mut self.src {
-            InputSrc::Mem {
-                data,
-                pos,
-                frame_end,
-                ..
-            } => {
-                let end = pos
-                    .checked_add(len)
-                    .filter(|&e| e <= *frame_end)
-                    .ok_or(MrError::Corrupt("run frame out of bounds"))?;
-                out.extend_from_slice(&data[*pos..end]);
-                *pos = end;
-                Ok(())
-            }
-            InputSrc::File { frame, fpos, .. } => {
-                let end = fpos
-                    .checked_add(len)
-                    .filter(|&e| e <= frame.len())
-                    .ok_or(MrError::Corrupt("run frame out of bounds"))?;
-                out.extend_from_slice(&frame[*fpos..end]);
-                *fpos = end;
-                Ok(())
-            }
-        }
+            } => (&data[..*frame_end], pos),
+            InputSrc::File { frame, fpos, .. } => (frame.as_slice(), fpos),
+        }))
     }
 }
 
@@ -1598,6 +1653,17 @@ mod tests {
         assert!(!rd.next_into(&mut k, &mut v).unwrap_or(true));
     }
 
+    /// Every record a [`BlockCursor`] lends from one encoded block.
+    fn cursor_records(codec: RunCodec, block: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut state = DecodeState::default();
+        let mut cursor = BlockCursor::new(codec, block, &mut state);
+        let mut out = Vec::new();
+        while let Some((k, v)) = cursor.next().unwrap() {
+            out.push((k.to_vec(), v.to_vec()));
+        }
+        out
+    }
+
     #[test]
     fn block_encoder_round_trips_across_codecs() {
         for codec in [
@@ -1623,13 +1689,7 @@ mod tests {
             let mut out = Vec::new();
             enc.encode_into(&mut out);
             assert!(enc.is_empty(), "encode clears the stage");
-            let mut got = Vec::new();
-            decode_block(codec, out, |k, v| {
-                got.push((k.to_vec(), v.to_vec()));
-                Ok(())
-            })
-            .unwrap();
-            assert_eq!(got, recs, "codec {codec:?}");
+            assert_eq!(cursor_records(codec, &out), recs, "codec {codec:?}");
         }
     }
 
@@ -1646,13 +1706,10 @@ mod tests {
         enc.push(b"alpha/2", b"1").unwrap();
         let mut b2 = Vec::new();
         enc.encode_into(&mut b2);
-        let mut got = Vec::new();
-        decode_block(RunCodec::FrontCoded, b2, |k, _| {
-            got.push(k.to_vec());
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(got, vec![b"alpha/2".to_vec()]);
+        assert_eq!(
+            cursor_records(RunCodec::FrontCoded, &b2),
+            vec![(b"alpha/2".to_vec(), b"1".to_vec())]
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! sets — empty keys, shared-prefix clusters, runs spanning many blocks,
 //! memory and file backends — a [`RunCodec::FrontCoded`] run must decode
 //! to exactly the record sequence of its [`RunCodec::Plain`] twin, and
-//! both must reproduce the input.
+//! both must reproduce the input; and a [`BlockCursor`] over standalone
+//! [`BlockEncoder`] blocks must lend back exactly what was pushed.
 
 use mapreduce::*;
 use proptest::prelude::*;
@@ -42,8 +43,70 @@ fn records_strategy() -> impl Strategy<Value = Records> {
     )
 }
 
+/// Records shaped to hit every branch of the block record layout: key
+/// suffixes on both sides of the inline-length escape (15 bytes), values
+/// that repeat the previous record's, change by a tail byte, or are empty.
+fn block_records_strategy() -> impl Strategy<Value = Records> {
+    let key = (prop::collection::vec(0u8..3, 0..4), 0usize..34).prop_map(|(head, tail)| {
+        let mut key = head;
+        key.extend(std::iter::repeat_n(7u8, tail));
+        key
+    });
+    let val = prop_oneof![
+        Just(Vec::new()),
+        Just(vec![5u8]),
+        Just(vec![9u8; 20]),
+        prop::collection::vec(0u8..=255, 0..24),
+    ];
+    prop::collection::vec((key, val), 0..120)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn block_cursor_lends_back_exactly_what_the_encoder_was_fed(
+        records in block_records_strategy(),
+        sorted in any::<bool>(),
+        // Raw-frame budget at which a block is closed: 1 byte is a block
+        // per record (every record self-contained), the larger ones chain
+        // deltas across many records.
+        budget in prop_oneof![Just(1usize), Just(2), Just(17), Just(64), Just(400), Just(1 << 20)],
+    ) {
+        let mut records = records;
+        if sorted {
+            records.sort();
+        }
+        for codec in [RunCodec::Plain, RunCodec::FrontCoded, RunCodec::PostingDelta] {
+            let mut encoder = BlockEncoder::new(codec);
+            let mut blocks: Vec<Vec<u8>> = Vec::new();
+            for (k, v) in &records {
+                encoder.push(k, v).unwrap();
+                if encoder.raw_bytes() >= budget {
+                    let mut block = Vec::new();
+                    encoder.encode_into(&mut block);
+                    blocks.push(block);
+                }
+            }
+            if !encoder.is_empty() {
+                let mut block = Vec::new();
+                encoder.encode_into(&mut block);
+                blocks.push(block);
+            }
+            // One decode state across all blocks, as a serving thread
+            // keeps it: the cursor must reset it per block.
+            let mut state = DecodeState::default();
+            let mut got: Records = Vec::new();
+            for block in &blocks {
+                let mut cursor = BlockCursor::new(codec, block, &mut state);
+                while let Some((k, v)) = cursor.next().unwrap() {
+                    got.push((k.to_vec(), v.to_vec()));
+                }
+                prop_assert!(cursor.next().unwrap().is_none(), "the end is sticky");
+            }
+            prop_assert_eq!(&got, &records, "codec {:?}, budget {}", codec, budget);
+        }
+    }
 
     #[test]
     fn front_coded_and_plain_decode_identically(

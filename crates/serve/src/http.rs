@@ -575,6 +575,7 @@ fn handle_stats(name: &str, index: &StatsIndex) -> (u16, String) {
         .field_str("codec", meta.codec.name())
         .field_u64("segments", meta.segments)
         .field_u64("entries", meta.entries)
+        .field_str("partitioner", meta.partitioner.map_or("none", |p| p.name()))
         .field_u64("terms", index.dictionary().len() as u64)
         .field("cache", &cache.finish());
     (200, o.finish())

@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! index/
-//!   MANIFEST       key \t value   (format, corpus, method, tau, σ, …)
+//!   MANIFEST       key \t value   (format, corpus, method, tau, σ, …,
+//!                                  partitioner when one rule placed the grams)
 //!   terms.tsv      term \t cf     in id order — Dictionary::from_counts
 //!                                  re-derives the exact term ids
 //!   part-00000.seg serving segments, one per reduce partition
@@ -16,13 +17,22 @@
 //! prefix scans, and top-k queries; point lookups go through a
 //! byte-budgeted [`LruCache`] (negative results cached as empty values,
 //! sound because every served count is ≥ τ ≥ 1).
+//!
+//! A segment is one reduce partition, so the job's partitioner says which
+//! segment can hold a gram. `build_index` records it as the manifest's
+//! `partitioner` line when the computation has one
+//! ([`Computation::output_partitioner`]); a lookup then reads that one
+//! segment, and so does a non-empty prefix scan when the partitioner is
+//! by first term. A manifest without the line — maximal/closed output, an
+//! index built before the line existed — is served by asking every
+//! segment, which is always correct.
 
 use crate::segment::SegmentReader;
 use crate::sink::SegmentSinkFactory;
 use corpus::Dictionary;
 use kvstore::LruCache;
 use mapreduce::{read_vu64_at, to_bytes, write_vu64, Cluster, MrError, Result, RunCodec};
-use ngrams::{Computation, CountMode, Gram};
+use ngrams::{Computation, CountMode, Gram, OutputPartitioner};
 use parking_lot::Mutex;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -80,6 +90,9 @@ pub struct IndexMeta {
     pub segments: u64,
     /// Total `(gram, count)` entries across segments.
     pub entries: u64,
+    /// The rule that placed grams in segments, when the manifest names
+    /// one; `None` means every segment may hold any gram.
+    pub partitioner: Option<OutputPartitioner>,
 }
 
 /// Build a statistics index: run `computation` on `cluster` with reduce
@@ -130,6 +143,10 @@ pub fn build_index(
     let _ = writeln!(manifest, "codec\t{}", opts.codec.name());
     let _ = writeln!(manifest, "segments\t{}", metas.len());
     let _ = writeln!(manifest, "entries\t{entries}");
+    let partitioner = computation.output_partitioner();
+    if let Some(p) = partitioner {
+        let _ = writeln!(manifest, "partitioner\t{}", p.name());
+    }
     // The manifest is written last: its presence marks the index
     // complete, so it must never exist before every segment is sealed.
     let manifest_tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
@@ -146,6 +163,7 @@ pub fn build_index(
         codec: opts.codec,
         segments: metas.len() as u64,
         entries,
+        partitioner,
     })
 }
 
@@ -156,6 +174,11 @@ pub struct StatsIndex {
     meta: IndexMeta,
     dictionary: Dictionary,
     segments: Vec<SegmentReader>,
+    /// Every segment's stored top entries, highest count first (ascending
+    /// gram among equals) — merged once at open.
+    top: Vec<(u64, Vec<u8>)>,
+    /// The largest `k` for which `top[..k]` is provably the global top-k.
+    top_covers: usize,
     cache: Mutex<LruCache>,
     /// Cache hits that answered "not present" from a cached empty value
     /// (a subset of the hits in [`StatsIndex::cache_stats`]).
@@ -191,6 +214,7 @@ impl StatsIndex {
         let mut codec = None;
         let mut segments = None;
         let mut entries = None;
+        let mut partitioner = None;
         for line in manifest.lines() {
             let Some((key, value)) = line.split_once('\t') else {
                 return Err(bad("manifest line is not key\\tvalue"));
@@ -208,6 +232,10 @@ impl StatsIndex {
                 "codec" => codec = RunCodec::parse(value),
                 "segments" => segments = value.parse::<u64>().ok(),
                 "entries" => entries = value.parse::<u64>().ok(),
+                "partitioner" => {
+                    let p = OutputPartitioner::parse(value);
+                    partitioner = Some(p.ok_or(bad("unknown partitioner in manifest"))?);
+                }
                 _ => {} // forward compatibility: ignore unknown keys
             }
         }
@@ -221,6 +249,7 @@ impl StatsIndex {
             codec: codec.ok_or(bad("manifest missing codec"))?,
             segments: segments.ok_or(bad("manifest missing segments"))?,
             entries: entries.ok_or(bad("manifest missing entries"))?,
+            partitioner,
         };
 
         if !dir.join(TERMS_FILE).is_file() {
@@ -270,10 +299,46 @@ impl StatsIndex {
         if total != meta.entries {
             return Err(bad("entry count disagrees with manifest"));
         }
+        if let Some(p) = meta.partitioner {
+            if segs.is_empty() {
+                return Err(bad("manifest names a partitioner but no segments"));
+            }
+            // Routing trusts the manifest, so hold it to the segments: the
+            // first and last key of each must route to that segment. Both
+            // sit in the block index — no block is read.
+            for (i, seg) in segs.iter().enumerate() {
+                let Some((first, last)) = seg.key_range() else {
+                    continue;
+                };
+                for key in [first, last] {
+                    let gram: Gram = mapreduce::from_bytes(key)?;
+                    if p.partition(&gram, segs.len()) != i {
+                        return Err(bad("segment keys disagree with the manifest's partitioner"));
+                    }
+                }
+            }
+        }
+
+        // The global top-k is a prefix of the merged per-segment lists iff
+        // every list either holds k entries or is exhaustive for its
+        // segment.
+        let mut top: Vec<(u64, Vec<u8>)> = segs
+            .iter()
+            .flat_map(|s| s.top_entries().iter().cloned())
+            .collect();
+        top.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        let top_covers = segs
+            .iter()
+            .filter(|s| (s.top_entries().len() as u64) < s.entries())
+            .map(|s| s.top_entries().len())
+            .min()
+            .unwrap_or(usize::MAX);
         Ok(StatsIndex {
             meta,
             dictionary,
             segments: segs,
+            top,
+            top_covers,
             cache: Mutex::new(LruCache::new(cache_bytes)),
             negative_hits: std::sync::atomic::AtomicU64::new(0),
         })
@@ -337,9 +402,24 @@ impl StatsIndex {
         }
     }
 
+    /// The segments that can hold `gram` — or, with `extensions`, any
+    /// gram it is a prefix of: the one segment the manifest's partitioner
+    /// routes to, or all of them when it names none (or, for extensions,
+    /// none that keeps them together).
+    fn segments_for(&self, gram: &Gram, extensions: bool) -> &[SegmentReader] {
+        let p = match self.meta.partitioner {
+            // Extensions share the gram's first term, hence its segment.
+            Some(p) if !extensions || (p == OutputPartitioner::FirstTerm && !gram.is_empty()) => p,
+            _ => return &self.segments,
+        };
+        let i = p.partition(gram, self.segments.len());
+        &self.segments[i..=i]
+    }
+
     /// Point lookup by term ids, through the hot-term cache.
     pub fn lookup_gram(&self, terms: &[u32]) -> Result<Option<u64>> {
-        let key = to_bytes(&Gram::new(terms));
+        let gram = Gram::new(terms);
+        let key = to_bytes(&gram);
         {
             let mut cache = self.cache.lock();
             if let Some(value) = cache.get(&key) {
@@ -354,7 +434,7 @@ impl StatsIndex {
             }
         }
         let mut found = None;
-        for seg in &self.segments {
+        for seg in self.segments_for(&gram, false) {
             if let Some(count) = seg.lookup(&key)? {
                 found = Some(count);
                 break; // grams are unique across partitions
@@ -374,59 +454,51 @@ impl StatsIndex {
     /// `"new york times"` but not `"new yorkshire"`.
     pub fn prefix(&self, text: &str, limit: usize) -> Result<Vec<(String, u64)>> {
         let trimmed = text.trim();
-        let prefix_key = if trimmed.is_empty() {
-            Vec::new()
+        let prefix = if trimmed.is_empty() {
+            Gram::default()
         } else {
             match self.encode(trimmed) {
-                Some(terms) => to_bytes(&Gram::new(terms.as_slice())),
+                Some(terms) => Gram(terms),
                 None => return Ok(Vec::new()),
             }
         };
-        // Segments partition by hash, so each holds a slice of the range;
-        // k-way merge by key keeps the output globally sorted.
-        let mut per_seg: Vec<Vec<(Vec<u8>, u64)>> = Vec::with_capacity(self.segments.len());
-        for seg in &self.segments {
-            let mut rows = Vec::new();
+        let prefix_key = to_bytes(&prefix);
+        let segments = self.segments_for(&prefix, true);
+        // Each segment holds a slice of the range: take up to `limit` rows
+        // from each, then sort by key to make the output globally ordered.
+        let mut rows: Vec<(Vec<u8>, u64)> = Vec::new();
+        for seg in segments {
+            let base = rows.len();
             seg.scan_prefix(&prefix_key, &mut |k, c| {
                 rows.push((k.to_vec(), c));
-                Ok(rows.len() < limit)
+                Ok(rows.len() - base < limit)
             })?;
-            per_seg.push(rows);
         }
-        let mut all: Vec<(Vec<u8>, u64)> = per_seg.into_iter().flatten().collect();
-        all.sort();
-        all.truncate(limit);
-        all.into_iter()
+        if segments.len() > 1 {
+            rows.sort();
+        }
+        rows.truncate(limit);
+        rows.into_iter()
             .map(|(k, c)| Ok((self.decode_key(&k)?, c)))
             .collect()
     }
 
     /// The `k` highest-frequency grams (ties broken by gram order),
-    /// decoded to text. Served from the segments' precomputed top lists
-    /// when they cover `k`; otherwise falls back to a full scan.
+    /// decoded to text. Served from the top list merged at open when it
+    /// covers `k`; otherwise falls back to a full scan.
     pub fn topk(&self, k: usize) -> Result<Vec<(String, u64)>> {
-        if k == 0 {
-            return Ok(Vec::new());
+        if k <= self.top_covers {
+            return self.top[..k.min(self.top.len())]
+                .iter()
+                .map(|(c, key)| Ok((self.decode_key(key)?, *c)))
+                .collect();
         }
-        // The global top-k is contained in the union of per-segment top
-        // lists iff every segment's list either covers k entries or is
-        // exhaustive for that segment.
-        let covered = self.segments.iter().all(|s| {
-            let stored = s.top_entries().len();
-            stored >= k || (stored as u64) == s.entries()
-        });
         let mut rows: Vec<(u64, Vec<u8>)> = Vec::new();
-        if covered {
-            for seg in &self.segments {
-                rows.extend(seg.top_entries().iter().cloned());
-            }
-        } else {
-            for seg in &self.segments {
-                seg.scan_all(&mut |key, c| {
-                    rows.push((c, key.to_vec()));
-                    Ok(())
-                })?;
-            }
+        for seg in &self.segments {
+            seg.scan_all(&mut |key, c| {
+                rows.push((c, key.to_vec()));
+                Ok(())
+            })?;
         }
         // Highest count first; among equals, ascending gram.
         rows.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));

@@ -6,8 +6,8 @@
 //! scans walk a contiguous block range. Blocks are encoded through the
 //! shuffle's [`BlockCodec`](mapreduce::BlockCodec)s (`plain`, `front`,
 //! `posting-delta`) and are individually self-contained — each restarts
-//! the codec's delta chain — so serving one lookup decodes one block,
-//! never the file.
+//! the codec's delta chain — so serving one lookup reads one block, never
+//! the file, and decodes it only as far as the key.
 //!
 //! ```text
 //! segment := magic "NGRAMSG2"  block*  footer  [footer-crc32 LE]  trailer
@@ -23,19 +23,25 @@
 //! locates the footer with two positioned reads at open; block payloads
 //! are only touched by queries. First/last keys in the block index bound
 //! every block, so a lookup reads at most one block and a prefix scan
-//! reads exactly the overlapping range.
+//! reads exactly the overlapping range; within a block both walk a
+//! borrowing [`BlockCursor`](mapreduce::BlockCursor) and stop at the
+//! first key past what they asked for.
 //!
 //! Integrity and atomicity: the footer carries a CRC32 over its own
 //! bytes (verified at open) and each index entry carries a CRC32 over
-//! its encoded block (verified before decode), so a flipped bit anywhere
-//! is a typed [`MrError`] — never a silently wrong count. The writer
+//! its encoded block — verified over the whole block before its first
+//! record is parsed, early exit or not — so a flipped bit anywhere is a
+//! typed [`MrError`], never a silently wrong count. The writer
 //! stages the file at `<path>.tmp` and renames it into place at finish,
 //! so a crash mid-build never leaves a half-written segment where the
 //! index expects a sealed one.
 
 use mapreduce::{
-    crc32, decode_block, read_vu64_at, write_vu64, BlockEncoder, MrError, Result, RunCodec,
+    crc32, read_vu64_at, write_vu64, BlockCursor, BlockEncoder, DecodeState, MrError, Result,
+    RunCodec,
 };
+use std::cell::Cell;
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -314,7 +320,7 @@ fn read_exact_at(file: &File, path: &Path, buf: &mut [u8], offset: u64) -> io::R
 }
 
 /// Random-access reader over one segment: opens by trailer + footer only,
-/// then serves whole blocks via positioned reads. Shareable across query
+/// then serves queries block by block via positioned reads. Shareable across query
 /// worker threads behind an `Arc`.
 pub struct SegmentReader {
     file: File,
@@ -442,33 +448,62 @@ impl SegmentReader {
         &self.top
     }
 
-    /// Read and decode block `i`, calling `f` for each `(key, count)`.
-    fn for_each_in_block(
+    /// The first and last key of the segment, from the block index alone
+    /// (no I/O); `None` for an empty segment.
+    pub fn key_range(&self) -> Option<(&[u8], &[u8])> {
+        let first = self.index.first()?;
+        let last = self.index.last()?;
+        Some((&first.first_key, &last.last_key))
+    }
+
+    /// Read block `i`, verify its CRC over the whole block, then hand its
+    /// records — key and still-encoded count, see [`decode_count`] — to
+    /// `f` in key order until `f` returns `false`. Returns whether the
+    /// walk reached the end of the block.
+    ///
+    /// The checksum comes before the first record is parsed, so a caller
+    /// that stops early still never sees a record of a damaged block.
+    fn walk_block(
         &self,
         i: usize,
-        f: &mut dyn FnMut(&[u8], u64) -> Result<()>,
-    ) -> Result<()> {
+        mut f: impl FnMut(&[u8], &[u8]) -> Result<bool>,
+    ) -> Result<bool> {
+        // Taken out of the thread-local for the duration of the walk: `f`
+        // may query a segment again, and that nested walk then starts from
+        // empty buffers instead of finding this one's borrowed.
+        let mut scratch = SCRATCH.with(Cell::take);
+        let walked = self.walk_block_in(i, &mut scratch, &mut f);
+        SCRATCH.with(|cell| cell.set(scratch));
+        walked
+    }
+
+    fn walk_block_in(
+        &self,
+        i: usize,
+        scratch: &mut Scratch,
+        f: &mut impl FnMut(&[u8], &[u8]) -> Result<bool>,
+    ) -> Result<bool> {
         let entry = &self.index[i];
-        let mut buf = vec![0u8; entry.bytes as usize];
-        read_exact_at(&self.file, &self.path, &mut buf, entry.offset)?;
-        if crc32(&buf) != entry.crc {
+        // `open` bounded the extent by the file, so this cannot over-reserve.
+        scratch.block.resize(entry.bytes as usize, 0);
+        read_exact_at(&self.file, &self.path, &mut scratch.block, entry.offset)?;
+        if crc32(&scratch.block) != entry.crc {
             return Err(MrError::ChecksumMismatch {
                 file: self.path.display().to_string(),
                 block: i as u64,
             });
         }
-        decode_block(self.codec, buf, |key, val| {
-            let mut vpos = 0usize;
-            let count = read_vu64_at(val, &mut vpos)?;
-            if vpos != val.len() {
-                return Err(bad("trailing bytes in segment value"));
+        let mut cursor = BlockCursor::new(self.codec, &scratch.block, &mut scratch.state);
+        while let Some((key, val)) = cursor.next()? {
+            if !f(key, val)? {
+                return Ok(false);
             }
-            f(key, count)
-        })
+        }
+        Ok(true)
     }
 
     /// Point lookup by raw key bytes: binary-search the block index, read
-    /// and decode at most one block.
+    /// at most one block, and stop at the first key at or past the target.
     pub fn lookup(&self, key: &[u8]) -> Result<Option<u64>> {
         // Index of the last block whose first_key <= key.
         let part = self
@@ -482,11 +517,15 @@ impl SegmentReader {
             return Ok(None);
         }
         let mut found = None;
-        self.for_each_in_block(i, &mut |k, count| {
-            if k == key {
-                found = Some(count);
-            }
-            Ok(())
+        self.walk_block(i, |k, val| {
+            Ok(match k.cmp(key) {
+                Ordering::Less => true,
+                Ordering::Equal => {
+                    found = Some(decode_count(val)?);
+                    false
+                }
+                Ordering::Greater => false,
+            })
         })?;
         Ok(found)
     }
@@ -506,12 +545,7 @@ impl SegmentReader {
             .index
             .partition_point(|b| b.first_key.as_slice() < prefix)
             .saturating_sub(1);
-        let mut stop = false;
-        for i in start..self.index.len() {
-            if stop {
-                break;
-            }
-            let b = &self.index[i];
+        for (i, b) in self.index.iter().enumerate().skip(start) {
             // A block strictly past the prefix range starts with a key
             // that is > prefix yet not an extension of it.
             if b.first_key.as_slice() > prefix && !b.first_key.starts_with(prefix) {
@@ -520,19 +554,18 @@ impl SegmentReader {
             if b.last_key.as_slice() < prefix {
                 continue;
             }
-            self.for_each_in_block(i, &mut |k, count| {
-                if stop {
-                    return Ok(());
-                }
+            // Keys below the prefix are skipped; the first key past its
+            // extensions ends the scan, as does `f`.
+            let more = self.walk_block(i, |k, val| {
                 if k.starts_with(prefix) {
-                    if !f(k, count)? {
-                        stop = true;
-                    }
-                } else if k > prefix {
-                    stop = true;
+                    f(k, decode_count(val)?)
+                } else {
+                    Ok(k < prefix)
                 }
-                Ok(())
             })?;
+            if !more {
+                break;
+            }
         }
         Ok(())
     }
@@ -540,10 +573,32 @@ impl SegmentReader {
     /// Scan the whole segment in key order.
     pub fn scan_all(&self, f: &mut dyn FnMut(&[u8], u64) -> Result<()>) -> Result<()> {
         for i in 0..self.index.len() {
-            self.for_each_in_block(i, f)?;
+            self.walk_block(i, |k, val| f(k, decode_count(val)?).map(|()| true))?;
         }
         Ok(())
     }
+}
+
+/// A record's value back to its count.
+fn decode_count(val: &[u8]) -> Result<u64> {
+    let mut pos = 0usize;
+    let count = read_vu64_at(val, &mut pos)?;
+    if pos != val.len() {
+        return Err(bad("trailing bytes in segment value"));
+    }
+    Ok(count)
+}
+
+/// One query thread's block buffer and decode state, kept between
+/// queries so a lookup allocates nothing once they have grown.
+#[derive(Default)]
+struct Scratch {
+    block: Vec<u8>,
+    state: DecodeState,
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
 }
 
 fn index_data_bytes(footer_offset: u64) -> u64 {
@@ -605,11 +660,95 @@ mod tests {
             for (k, c) in &recs {
                 assert_eq!(r.lookup(k).unwrap(), Some(*c), "codec {codec:?}");
             }
-            assert_eq!(r.lookup(b"\xff\xff\xff").unwrap(), None);
-            assert_eq!(r.lookup(b"").unwrap(), None);
+            // Absent neighbours of every key — last byte ± 1, a proper
+            // prefix, an extension — plus probes before the first block,
+            // after the last one, and the empty key: each answers exactly
+            // what the record set says.
+            let present: std::collections::BTreeMap<&[u8], u64> =
+                recs.iter().map(|(k, c)| (k.as_slice(), *c)).collect();
+            let mut probes: Vec<Vec<u8>> = vec![vec![], vec![0], vec![0xff; 3]];
+            for (k, _) in &recs {
+                let (&last, head) = k.split_last().unwrap();
+                probes.push([head, &[last.wrapping_sub(1)]].concat());
+                probes.push([head, &[last.wrapping_add(1)]].concat());
+                probes.push(head.to_vec());
+                probes.push([k.as_slice(), &[0]].concat());
+            }
+            for probe in &probes {
+                assert_eq!(
+                    r.lookup(probe).unwrap(),
+                    present.get(probe.as_slice()).copied(),
+                    "codec {codec:?}, probe {probe:?}"
+                );
+            }
             let _ = std::fs::remove_file(&path);
         }
     }
+
+    /// "Format unchanged" as a test: the exact bytes of one small
+    /// two-block segment per codec — magic, blocks, footer (block index,
+    /// top entries), footer CRC, trailer — as the `NGRAMSG2` writer has
+    /// always produced them. The records cover a repeated count, a
+    /// two-byte count, a shared key prefix and a key suffix past the
+    /// 15-byte inline length.
+    #[test]
+    fn golden_bytes_pin_the_segment_format() {
+        let long = [&[2u8, 9][..], &[4u8; 16][..]].concat();
+        let recs: [(&[u8], u64); 5] = [
+            (&[1], 7),
+            (&[1, 2], 7),
+            (&[1, 2, 3], 300),
+            (&[2], 5),
+            (&long, 5),
+        ];
+        let golden = [
+            (RunCodec::Plain, GOLDEN_PLAIN),
+            (RunCodec::FrontCoded, GOLDEN_FRONT),
+            (RunCodec::PostingDelta, GOLDEN_POSTING_DELTA),
+        ];
+        for (codec, want) in golden {
+            let path = temp_path(&format!("golden-{}", codec.name()));
+            let mut w = SegmentWriter::create(&path, codec)
+                .unwrap()
+                .block_budget(12)
+                .top_entries(2);
+            for (k, c) in recs {
+                w.push(k, c).unwrap();
+            }
+            w.finish().unwrap();
+            let hex: String = std::fs::read(&path)
+                .unwrap()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(hex, want, "codec {codec:?}");
+            let r = SegmentReader::open(&path).unwrap();
+            assert_eq!(r.num_blocks(), 2);
+            for (k, c) in recs {
+                assert_eq!(r.lookup(k).unwrap(), Some(c), "codec {codec:?}");
+            }
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    const GOLDEN_PLAIN: &str = concat!(
+        "4e4752414d5347320101010702010201070301020302ac020102010512020904",
+        "0404040404040404040404040404040105000502081003abb2cc920501010301",
+        "02031819028b8c98c80101021202090404040404040404040404040404040402",
+        "ac020301020307020102228a48f931000000000000004e4752414d534732",
+    );
+    const GOLDEN_FRONT: &str = concat!(
+        "4e4752414d534732020101072302420302ac02020201053f0209040404040404",
+        "04040404040404040404010502080b03a3bcd0ed0a010103010203131702e9b8",
+        "cf970801021202090404040404040404040404040404040402ac020301020307",
+        "02010248f6dee52a000000000000004e4752414d534732",
+    );
+    const GOLDEN_POSTING_DELTA: &str = concat!(
+        "4e4752414d5347320201000107230242030002ac0202020001053f0209040404",
+        "04040404040404040404040404020502080d03ddb581aa070101030102031518",
+        "0282efe4a70a01021202090404040404040404040404040404040402ac020301",
+        "0203070201024dbe45222d000000000000004e4752414d534732",
+    );
 
     #[test]
     fn prefix_scan_returns_exactly_the_extension_range() {
@@ -641,6 +780,35 @@ mod tests {
         .unwrap();
         assert_eq!(seen, 3);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_query_from_inside_a_scan_callback_gets_its_own_buffers() {
+        // The per-thread block buffer is out of its thread-local while a
+        // walk runs; a nested query must neither panic nor clobber the
+        // outer walk's block.
+        let recs = sample_records(400);
+        for codec in [
+            RunCodec::Plain,
+            RunCodec::FrontCoded,
+            RunCodec::PostingDelta,
+        ] {
+            let path = temp_path(&format!("nested-{}", codec.name()));
+            write_segment(&path, codec, &recs);
+            let r = SegmentReader::open(&path).unwrap();
+            let mut got = Vec::new();
+            r.scan_all(&mut |k, c| {
+                // A different block than the one being walked, mostly.
+                let (other, count) = &recs[(got.len() * 37) % recs.len()];
+                assert_eq!(r.lookup(other)?, Some(*count));
+                assert_eq!(r.lookup(k)?, Some(c));
+                got.push((k.to_vec(), c));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(got, recs, "codec {codec:?}");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 
     #[test]

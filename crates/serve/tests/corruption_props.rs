@@ -59,32 +59,102 @@ proptest! {
         };
         std::fs::write(&path, &damaged).unwrap();
 
-        // Open, then exercise every read path. Reaching the end of this
-        // closure without a panic is half the property; the other half is
-        // that whatever *succeeds* reports the original data.
-        let outcome = (|| -> mapreduce::Result<Vec<(Vec<u8>, u64)>> {
-            let r = SegmentReader::open(&path)?;
-            let mut got = Vec::new();
-            r.scan_all(&mut |k, c| {
-                got.push((k.to_vec(), c));
-                Ok(())
-            })?;
-            for (k, _) in &records {
-                r.lookup(k)?;
-            }
-            Ok(got)
-        })();
-        let _ = std::fs::remove_file(&path);
-
-        match outcome {
-            Err(_) => {} // typed rejection is the expected outcome
-            Ok(got) => prop_assert_eq!(
-                got,
-                records,
-                "damage at {} (truncate={}) went undetected yet changed nothing visible?",
-                at,
-                truncate
-            ),
+        // Open, then exercise every read path on its own. Not panicking
+        // is half the property; the other half is that whatever
+        // *succeeds* reports the original data — a lookup stops at its
+        // key, so this also holds it to bytes it never parsed.
+        let Ok(r) = SegmentReader::open(&path) else {
+            let _ = std::fs::remove_file(&path);
+            return Ok(()); // typed rejection at open
+        };
+        let mut got = Vec::new();
+        if r.scan_all(&mut |k, c| {
+            got.push((k.to_vec(), c));
+            Ok(())
+        })
+        .is_ok()
+        {
+            prop_assert_eq!(&got, &records, "scan_all at {} (truncate={})", at, truncate);
         }
+        for (k, c) in &records {
+            if let Ok(found) = r.lookup(k) {
+                prop_assert_eq!(found, Some(*c), "lookup at {} (truncate={})", at, truncate);
+            }
+            // Absent neighbours: a proper prefix and an extension of the key.
+            for absent in [&k[..7], &[k.as_slice(), &[0]].concat()] {
+                if let Ok(found) = r.lookup(absent) {
+                    prop_assert_eq!(found, None);
+                }
+            }
+        }
+        for absent in [&[][..], &(entries + 3).to_be_bytes()] {
+            if let Ok(found) = r.lookup(absent) {
+                prop_assert_eq!(found, None);
+            }
+        }
+        // Keys are big-endian u64s: a 7-byte prefix selects a run of 256.
+        for prefix in [&[][..], &[0u8; 7], &[0, 0, 0, 0, 0, 0, 0, 9]] {
+            let mut rows = Vec::new();
+            if r.scan_prefix(prefix, &mut |k, c| {
+                rows.push((k.to_vec(), c));
+                Ok(rows.len() < 20)
+            })
+            .is_ok()
+            {
+                let want: Vec<(Vec<u8>, u64)> = records
+                    .iter()
+                    .filter(|(k, _)| k.starts_with(prefix))
+                    .take(20)
+                    .cloned()
+                    .collect();
+                prop_assert_eq!(rows, want, "scan_prefix at {} (truncate={})", at, truncate);
+            }
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// A lookup stops walking its block at the key, so damage *behind* the
+/// key is in bytes it never parses. The block CRC runs over the whole
+/// block before the first record is parsed: every such flip must fail
+/// the lookup, never answer it.
+#[test]
+fn flips_behind_the_early_exit_point_fail_the_lookup() {
+    for codec in CODECS {
+        let path = temp_path();
+        let mut w = SegmentWriter::create(&path, codec).unwrap();
+        for i in 0..300u64 {
+            w.push(&i.to_be_bytes(), i % 17 + 1).unwrap();
+        }
+        let meta = w.finish().unwrap();
+        assert_eq!(meta.blocks, 1, "one block, so its extent is known");
+        let clean = std::fs::read(&path).unwrap();
+        let block =
+            serve::SEGMENT_MAGIC.len()..serve::SEGMENT_MAGIC.len() + meta.data_bytes as usize;
+        let first_key = 0u64.to_be_bytes();
+        assert_eq!(
+            SegmentReader::open(&path)
+                .unwrap()
+                .lookup(&first_key)
+                .unwrap(),
+            Some(1)
+        );
+
+        // The first record ends within the first 16 bytes of the block
+        // under every codec; everything past that is behind the exit.
+        for at in (block.start + 16..block.end)
+            .step_by(7)
+            .chain([block.end - 1])
+        {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x10;
+            std::fs::write(&path, &bytes).unwrap();
+            let r = SegmentReader::open(&path).expect("footer untouched");
+            match r.lookup(&first_key) {
+                Err(mapreduce::MrError::ChecksumMismatch { block: 0, .. }) => {}
+                other => panic!("{codec:?}: flip at {at} answered {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 }
